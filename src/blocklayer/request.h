@@ -3,9 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,98 +33,40 @@ struct IoResult {
   std::vector<std::uint64_t> tokens;
 };
 
-/// Move-only completion callable for one IO, replacing the old
-/// `std::function<void(const IoResult&)>`:
-///
-///   - captures up to kInlineBytes live inside the object (no heap
-///     allocation per IO on the hot path); larger captures are boxed in
-///     a recycled sim::CallbackSlab chunk, so even the fallback is
-///     allocation-free in steady state;
-///   - it carries the multi-queue completion-routing context — which
-///     software queue the IO belongs to (`queue_id`) and its inflight
-///     tag (`tag`) — so lower layers (the SSD's completion path) can
-///     attribute a completion to its queue without a map lookup. Both
-///     default to "none" for IOs submitted outside the mq block layer.
-///
-/// Like std::function, operator() is const-callable and the target may
-/// be invoked more than once (the merge scheduler fans one device
-/// completion out to every absorbed request's callback).
-class IoCallback {
+/// Move-only completion callable for one IO: a sim::InplaceFunction
+/// (captures up to kInlineBytes inline, larger ones boxed in a recycled
+/// sim::CallbackSlab chunk) that also carries the multi-queue
+/// completion-routing context — which software queue the IO belongs to
+/// (`queue_id`) and its inflight tag (`tag`) — so lower layers (the
+/// SSD's completion path) can attribute a completion to its queue
+/// without a map lookup. Both default to "none" for IOs submitted
+/// outside the mq block layer. The two fields sit in the base's tail
+/// padding, so an IoCallback is no larger than a plain InplaceFunction.
+class IoCallback : public sim::InplaceFunction<void(const IoResult&)> {
+  using Base = sim::InplaceFunction<void(const IoResult&)>;
+
  public:
-  static constexpr std::size_t kInlineBytes = 48;
   static constexpr std::uint16_t kNoQueue = 0xffff;
   static constexpr std::uint16_t kNoTag = 0xffff;
 
-  template <typename F>
-  static constexpr bool fits() {
-    using D = std::decay_t<F>;
-    return sizeof(D) <= kInlineBytes &&
-           alignof(D) <= alignof(std::max_align_t);
-  }
-
+  using Base::Base;
   IoCallback() = default;
-  IoCallback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, IoCallback> &&
-                !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&,
-                                      const IoResult&>>>
-  IoCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (fits<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      void* p = sim::CallbackSlab::Allocate(sizeof(D));
-      ::new (p) D(std::forward<F>(f));
-      ::new (static_cast<void*>(buf_)) void*(p);
-      ops_ = &kBoxedOps<D>;
-    }
-  }
 
   IoCallback(IoCallback&& other) noexcept
-      : queue_id(other.queue_id), tag(other.tag), ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      Relocate(other);
-      other.ops_ = nullptr;
-    }
-  }
+      : Base(std::move(other)), queue_id(other.queue_id), tag(other.tag) {}
 
   IoCallback& operator=(IoCallback&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      ops_ = other.ops_;
-      queue_id = other.queue_id;
-      tag = other.tag;
-      if (ops_ != nullptr) {
-        Relocate(other);
-        other.ops_ = nullptr;
-      }
-    }
+    Base::operator=(std::move(other));
+    queue_id = other.queue_id;
+    tag = other.tag;
     return *this;
   }
 
   IoCallback& operator=(std::nullptr_t) {
-    Reset();
+    Base::operator=(nullptr);
     queue_id = kNoQueue;
     tag = kNoTag;
     return *this;
-  }
-
-  IoCallback(const IoCallback&) = delete;
-  IoCallback& operator=(const IoCallback&) = delete;
-
-  ~IoCallback() { Reset(); }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-
-  /// True when the callable lives in the inline buffer (no slab chunk).
-  bool stored_inline() const { return ops_ != nullptr && ops_->is_inline; }
-
-  void operator()(const IoResult& result) const {
-    ops_->invoke(const_cast<unsigned char*>(buf_), result);
   }
 
   /// Multi-queue completion-routing context, carried with the callback
@@ -135,66 +74,9 @@ class IoCallback {
   /// submitted through a multi-queue host path.
   std::uint16_t queue_id = kNoQueue;
   std::uint16_t tag = kNoTag;
-
- private:
-  struct Ops {
-    void (*invoke)(void* self, const IoResult& result);
-    void (*relocate)(void* dst, void* src);  // move-construct + destroy src
-    void (*destroy)(void* self);
-    bool is_inline;
-    bool trivial_relocate;
-  };
-
-  void Reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  void Relocate(IoCallback& other) {
-    if (ops_->trivial_relocate) {
-      std::memcpy(buf_, other.buf_, kInlineBytes);
-    } else {
-      ops_->relocate(buf_, other.buf_);
-    }
-  }
-
-  template <typename D>
-  static constexpr Ops kInlineOps = {
-      [](void* self, const IoResult& result) {
-        (*std::launder(reinterpret_cast<D*>(self)))(result);
-      },
-      [](void* dst, void* src) {
-        D* s = std::launder(reinterpret_cast<D*>(src));
-        ::new (dst) D(std::move(*s));
-        s->~D();
-      },
-      [](void* self) { std::launder(reinterpret_cast<D*>(self))->~D(); },
-      /*is_inline=*/true,
-      /*trivial_relocate=*/std::is_trivially_copyable_v<D>,
-  };
-
-  template <typename D>
-  static constexpr Ops kBoxedOps = {
-      [](void* self, const IoResult& result) {
-        (**std::launder(reinterpret_cast<D**>(self)))(result);
-      },
-      [](void* dst, void* src) {
-        ::new (dst) void*(*std::launder(reinterpret_cast<void**>(src)));
-      },
-      [](void* self) {
-        D* p = *std::launder(reinterpret_cast<D**>(self));
-        p->~D();
-        sim::CallbackSlab::Deallocate(p, sizeof(D));
-      },
-      /*is_inline=*/false,
-      /*trivial_relocate=*/true,
-  };
-
-  const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes] = {};
 };
+static_assert(sizeof(IoCallback) ==
+              sizeof(sim::InplaceFunction<void(const IoResult&)>));
 
 /// Bounded EIO retry for reads, mirroring the kernel's per-bio retry
 /// count: a read completing with DataLoss (uncorrectable media even

@@ -122,43 +122,38 @@ void HybridStore::RecoverRecords(
     });
     return;
   }
-  struct Scan {
-    std::size_t index = 0;
-    std::vector<std::vector<std::uint8_t>> out;
-    std::function<void(std::vector<std::vector<std::uint8_t>>)> cb;
-  };
-  auto scan = std::make_shared<Scan>();
+  auto scan = std::make_unique<RecoveryScan>();
   scan->cb = std::move(cb);
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, scan, step]() {
-    if (scan->index >= classic_slots_.size()) {
+  RecoverStep(std::move(scan));
+}
+
+void HybridStore::RecoverStep(std::unique_ptr<RecoveryScan> scan) {
+  if (scan->index >= classic_slots_.size()) {
+    scan->cb(std::move(scan->out));
+    return;
+  }
+  const ClassicLogSlot slot = classic_slots_[scan->index];
+  blocklayer::IoRequest read;
+  read.op = blocklayer::IoOp::kRead;
+  read.lba = slot.lba;
+  read.nblocks = 1;
+  read.priority = 1;
+  read.on_complete = [this, scan = std::move(scan),
+                      slot](const blocklayer::IoResult& r) mutable {
+    if (!r.status.ok() || r.tokens.empty() || r.tokens[0] != slot.token) {
+      // Torn point: the record at index is unreadable (or its block was
+      // reclaimed by a wrapped log head). Everything after it is suspect
+      // too — truncate here rather than replay past a hole.
+      counters_.Increment("log_torn_truncations");
       scan->cb(std::move(scan->out));
       return;
     }
-    const ClassicLogSlot slot = classic_slots_[scan->index];
-    blocklayer::IoRequest read;
-    read.op = blocklayer::IoOp::kRead;
-    read.lba = slot.lba;
-    read.nblocks = 1;
-    read.priority = 1;
-    read.on_complete = [this, scan, step,
-                        slot](const blocklayer::IoResult& r) {
-      if (!r.status.ok() || r.tokens.empty() || r.tokens[0] != slot.token) {
-        // Torn point: the record at index is unreadable (or its block
-        // was reclaimed by a wrapped log head). Everything after it is
-        // suspect too — truncate here rather than replay past a hole.
-        counters_.Increment("log_torn_truncations");
-        scan->cb(std::move(scan->out));
-        return;
-      }
-      scan->out.push_back(classic_durable_[scan->index]);
-      ++scan->index;
-      (*step)();
-    };
-    counters_.Increment("log_recovery_reads");
-    data_path_->Submit(std::move(read));
+    scan->out.push_back(classic_durable_[scan->index]);
+    ++scan->index;
+    RecoverStep(std::move(scan));
   };
-  (*step)();
+  counters_.Increment("log_recovery_reads");
+  data_path_->Submit(std::move(read));
 }
 
 void HybridStore::TruncateLog(std::function<void(Status)> cb) {

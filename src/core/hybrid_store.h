@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "blocklayer/block_device.h"
@@ -119,6 +120,16 @@ class HybridStore : public host::HostInterface {
   const Counters& counters() const { return counters_; }
 
  private:
+  /// One classic-log recovery scan. The pending read's completion owns
+  /// it, so the scan is released with its last callback.
+  struct RecoveryScan {
+    std::size_t index = 0;
+    std::vector<std::vector<std::uint8_t>> out;
+    std::function<void(std::vector<std::vector<std::uint8_t>>)> cb;
+  };
+  /// Verifies the scan's next record (or completes the scan).
+  void RecoverStep(std::unique_ptr<RecoveryScan> scan);
+
   sim::Simulator* sim_;
   blocklayer::BlockDevice* data_path_;
   PcmLog* pcm_log_ = nullptr;

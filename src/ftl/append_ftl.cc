@@ -156,79 +156,88 @@ void AppendFtl::NamelessWrite(std::uint64_t token, std::uint64_t owner,
     return;
   }
   counters_.Increment("host_writes");
-  PendingAppend a;
-  a.token = token;
-  a.owner = owner;
-  a.owner_epoch = owner_epoch;
-  a.region = stream % static_cast<std::uint32_t>(regions_.size() - 1);
-  a.cb = std::move(cb);
-  a.ctx = ctx;
-  if (!queue_.empty() || !EnsureActive(a.region)) {
+  PendingAppend* a = appends_.Acquire();
+  a->token = token;
+  a->owner = owner;
+  a->owner_epoch = owner_epoch;
+  a->region = stream % static_cast<std::uint32_t>(regions_.size() - 1);
+  a->cb = std::move(cb);
+  a->ctx = ctx;
+  if (!queue_.empty() || !EnsureActive(a->region)) {
     // Out of clean blocks (or behind writes that are): wait while
     // reclaim/migration can still free space, else tell the host the
     // truth — *it* owns liveness, so only it can make room.
-    queue_.push_back(std::move(a));
+    queue_.push_back(a);
     MaybeStartMigration();
     FailQueueIfStuck();
     return;
   }
-  IssueAppend(std::move(a));
+  IssueAppend(a);
 }
 
-void AppendFtl::IssueAppend(PendingAppend a) {
-  Region& r = regions_[a.region];
-  flash::Ppa ppa{r.active.channel, r.active.lun, r.active.plane,
-                 r.active.block, r.next_page++};
-  const std::uint64_t flat = FlatBlock(r.active);
-  ++in_flight_[flat];
+void AppendFtl::IssueAppend(PendingAppend* a) {
+  Region& r = regions_[a->region];
+  a->ppa = flash::Ppa{r.active.channel, r.active.lun, r.active.plane,
+                      r.active.block, r.next_page++};
+  a->flat = FlatBlock(r.active);
+  ++in_flight_[a->flat];
   counters_.Increment("host_pages_accepted");
   flash::PageData data;
-  data.lba = a.owner;
+  data.lba = a->owner;
   data.seq = next_seq_++;
-  data.token = a.token;
-  data.group = a.owner_epoch;
+  data.token = a->token;
+  data.group = a->owner_epoch;
   const std::uint64_t epoch = epoch_;
-  controller_->ProgramPage(
-      ppa, data,
-      [this, epoch, ppa, flat, cb = std::move(a.cb)](Status st) {
-        if (epoch != epoch_) return;
-        --in_flight_[flat];
-        if (!st.ok()) {
-          counters_.Increment("append_failures");
-          EraseIfDead(ppa.Block());
-          cb(std::move(st));
-          return;
-        }
-        ++live_count_[flat];
-        ++live_pages_;
-        const std::uint64_t gen =
-            controller_->flash()->GetBlockInfo(ppa.Block()).erase_count;
-        cb((gen << kPpaBits) | ppa.Flatten(geom()));
-      },
-      a.ctx);
+  auto done = [this, a, epoch](Status st) {
+    if (epoch != epoch_) return;
+    OnAppendDone(a, std::move(st));
+  };
+  static_assert(ssd::Controller::OpCallback::fits<decltype(done)>());
+  controller_->ProgramPage(a->ppa, data, std::move(done), a->ctx);
+}
+
+void AppendFtl::OnAppendDone(PendingAppend* a, Status st) {
+  const flash::Ppa ppa = a->ppa;
+  const std::uint64_t flat = a->flat;
+  NameCallback cb = std::move(a->cb);
+  appends_.Release(a);
+  --in_flight_[flat];
+  if (!st.ok()) {
+    counters_.Increment("append_failures");
+    EraseIfDead(ppa.Block());
+    cb(std::move(st));
+    return;
+  }
+  ++live_count_[flat];
+  ++live_pages_;
+  const std::uint64_t gen =
+      controller_->flash()->GetBlockInfo(ppa.Block()).erase_count;
+  cb((gen << kPpaBits) | ppa.Flatten(geom()));
 }
 
 void AppendFtl::FailQueueIfStuck() {
   if (migrating_ || pending_reclaims_ > 0) return;
   while (!queue_.empty()) {
     counters_.Increment("writes_rejected_full");
-    PostGuarded(std::move(queue_.front().cb),
+    PendingAppend* a = queue_.front();
+    queue_.pop_front();
+    PostGuarded(std::move(a->cb),
                 StatusOr<std::uint64_t>(Status::ResourceExhausted(
                     "no free blocks: host must free named pages")));
-    queue_.pop_front();
+    appends_.Release(a);
   }
 }
 
 void AppendFtl::PumpQueue() {
   while (!queue_.empty()) {
-    if (!EnsureActive(queue_.front().region)) {
+    if (!EnsureActive(queue_.front()->region)) {
       MaybeStartMigration();
       FailQueueIfStuck();
       return;
     }
-    PendingAppend a = std::move(queue_.front());
+    PendingAppend* a = queue_.front();
     queue_.pop_front();
-    IssueAppend(std::move(a));
+    IssueAppend(a);
   }
 }
 
@@ -256,18 +265,21 @@ void AppendFtl::NamelessRead(std::uint64_t name, ReadCallback cb,
                     "stale name: page freed or migrated")));
     return;
   }
+  ReadCallback* slot = reads_.Acquire();
+  *slot = std::move(cb);
   const std::uint64_t epoch = epoch_;
-  controller_->ReadPage(
-      ppa,
-      [this, epoch, cb = std::move(cb)](StatusOr<flash::PageData> res) {
-        if (epoch != epoch_) return;
-        if (!res.ok()) {
-          cb(res.status());
-          return;
-        }
-        cb(res->token);
-      },
-      ctx);
+  auto done = [this, slot, epoch](StatusOr<flash::PageData> res) {
+    if (epoch != epoch_) return;
+    ReadCallback read_cb = std::move(*slot);
+    reads_.Release(slot);
+    if (!res.ok()) {
+      read_cb(res.status());
+      return;
+    }
+    read_cb(res->token);
+  };
+  static_assert(ssd::Controller::ReadCallback::fits<decltype(done)>());
+  controller_->ReadPage(ppa, std::move(done), ctx);
 }
 
 void AppendFtl::NamelessFree(std::uint64_t name, WriteCallback cb,
@@ -309,20 +321,19 @@ void AppendFtl::EraseIfDead(const flash::BlockAddr& block) {
   ++in_flight_[flat];  // guards against double-erase / reuse
   ++pending_reclaims_;
   const std::uint64_t epoch = epoch_;
-  controller_->EraseBlock(
-      block,
-      [this, epoch, block, flat](Status st) {
-        if (epoch != epoch_) return;
-        --in_flight_[flat];
-        --pending_reclaims_;
-        if (st.ok()) {  // erase failure = block retired below us
-          is_free_[flat] = true;
-          free_[block.GlobalLun(geom())].push_back(block);
-          PumpQueue();
-        }
-        FailQueueIfStuck();
-      },
-      kMigrateCtx);
+  auto erased = [this, epoch, block, flat](Status st) {
+    if (epoch != epoch_) return;
+    --in_flight_[flat];
+    --pending_reclaims_;
+    if (st.ok()) {  // erase failure = block retired below us
+      is_free_[flat] = true;
+      free_[block.GlobalLun(geom())].push_back(block);
+      PumpQueue();
+    }
+    FailQueueIfStuck();
+  };
+  static_assert(ssd::Controller::OpCallback::fits<decltype(erased)>());
+  controller_->EraseBlock(block, std::move(erased), kMigrateCtx);
 }
 
 // ---------------------------------------------------------------------
@@ -399,77 +410,76 @@ void AppendFtl::RelocateNext(flash::BlockAddr victim, std::uint32_t page) {
   if (!EnsureActive(MigrationRegion(), /*for_migration=*/true)) {
     // No destination blocks at all: abandon the collection; the block
     // stays intact (we never erase live data).
-    counters_.Increment("migrate_aborts");
-    migrating_ = false;
-    --in_flight_[FlatBlock(victim)];
-    EraseIfDead(victim);  // the pin may have deferred a host-driven erase
-    FailQueueIfStuck();
+    mig_.victim = victim;
+    AbortMigration();
     return;
   }
-  const flash::Ppa old_ppa{victim.channel, victim.lun, victim.plane,
-                           victim.block, page};
+  mig_.victim = victim;
+  mig_.page = page;
+  mig_.old_ppa = flash::Ppa{victim.channel, victim.lun, victim.plane,
+                            victim.block, page};
   const std::uint64_t old_gen =
       controller_->flash()->GetBlockInfo(victim).erase_count;
-  const std::uint64_t old_name =
-      (old_gen << kPpaBits) | old_ppa.Flatten(g);
+  mig_.old_name = (old_gen << kPpaBits) | mig_.old_ppa.Flatten(g);
   const std::uint64_t epoch = epoch_;
-  controller_->ReadPage(
-      old_ppa,
-      [this, epoch, victim, page, old_ppa,
-       old_name](StatusOr<flash::PageData> res) {
-        if (epoch != epoch_) return;
-        if (!res.ok()) {
-          // The copy is lost to the media. Abort: the block keeps its
-          // remaining data and is never erased under a live name.
-          counters_.Increment("migrate_read_failures");
-          counters_.Increment("migrate_aborts");
-          migrating_ = false;
-          --in_flight_[FlatBlock(victim)];
-          EraseIfDead(victim);
-          FailQueueIfStuck();
-          return;
-        }
-        flash::PageData d = *res;
-        d.seq = next_seq_++;
-        Region& r = regions_[MigrationRegion()];
-        const flash::Ppa dst{r.active.channel, r.active.lun,
-                             r.active.plane, r.active.block,
-                             r.next_page++};
-        const std::uint64_t dst_flat = FlatBlock(r.active);
-        ++in_flight_[dst_flat];
-        controller_->ProgramPage(
-            dst, d,
-            [this, epoch, victim, page, old_ppa, old_name, dst,
-             dst_flat](Status st) {
-              if (epoch != epoch_) return;
-              --in_flight_[dst_flat];
-              if (!st.ok()) {
-                counters_.Increment("migrate_aborts");
-                migrating_ = false;
-                --in_flight_[FlatBlock(victim)];
-                EraseIfDead(victim);
-                FailQueueIfStuck();
-                return;
-              }
-              ++live_count_[dst_flat];
-              (void)controller_->flash()->MarkInvalid(old_ppa);
-              --live_count_[FlatBlock(victim)];
-              counters_.Increment("migrate_page_moves");
-              const std::uint64_t new_gen = controller_->flash()
-                                                ->GetBlockInfo(dst.Block())
-                                                .erase_count;
-              const std::uint64_t new_name =
-                  (new_gen << kPpaBits) | dst.Flatten(geom());
-              // The peer call the paper asks for: the device moved the
-              // page, so it *says so* before the old name can go stale.
-              if (migration_listener_) {
-                migration_listener_(old_name, new_name);
-              }
-              RelocateNext(victim, page + 1);
-            },
-            kMigrateCtx);
-      },
-      kMigrateCtx);
+  auto read = [this, epoch](StatusOr<flash::PageData> res) {
+    if (epoch != epoch_) return;
+    OnMigrateRead(std::move(res));
+  };
+  static_assert(ssd::Controller::ReadCallback::fits<decltype(read)>());
+  controller_->ReadPage(mig_.old_ppa, std::move(read), kMigrateCtx);
+}
+
+void AppendFtl::OnMigrateRead(StatusOr<flash::PageData> res) {
+  if (!res.ok()) {
+    // The copy is lost to the media. Abort: the block keeps its
+    // remaining data and is never erased under a live name.
+    counters_.Increment("migrate_read_failures");
+    AbortMigration();
+    return;
+  }
+  flash::PageData d = *res;
+  d.seq = next_seq_++;
+  Region& r = regions_[MigrationRegion()];
+  mig_.dst = flash::Ppa{r.active.channel, r.active.lun, r.active.plane,
+                        r.active.block, r.next_page++};
+  mig_.dst_flat = FlatBlock(r.active);
+  ++in_flight_[mig_.dst_flat];
+  const std::uint64_t epoch = epoch_;
+  auto programmed = [this, epoch](Status st) {
+    if (epoch != epoch_) return;
+    OnMigrateProgrammed(std::move(st));
+  };
+  static_assert(ssd::Controller::OpCallback::fits<decltype(programmed)>());
+  controller_->ProgramPage(mig_.dst, d, std::move(programmed), kMigrateCtx);
+}
+
+void AppendFtl::OnMigrateProgrammed(Status st) {
+  --in_flight_[mig_.dst_flat];
+  if (!st.ok()) {
+    AbortMigration();
+    return;
+  }
+  ++live_count_[mig_.dst_flat];
+  (void)controller_->flash()->MarkInvalid(mig_.old_ppa);
+  --live_count_[FlatBlock(mig_.victim)];
+  counters_.Increment("migrate_page_moves");
+  const std::uint64_t new_gen =
+      controller_->flash()->GetBlockInfo(mig_.dst.Block()).erase_count;
+  const std::uint64_t new_name =
+      (new_gen << kPpaBits) | mig_.dst.Flatten(geom());
+  // The peer call the paper asks for: the device moved the page, so it
+  // *says so* before the old name can go stale.
+  if (migration_listener_) migration_listener_(mig_.old_name, new_name);
+  RelocateNext(mig_.victim, mig_.page + 1);
+}
+
+void AppendFtl::AbortMigration() {
+  counters_.Increment("migrate_aborts");
+  migrating_ = false;
+  --in_flight_[FlatBlock(mig_.victim)];
+  EraseIfDead(mig_.victim);  // the pin may have deferred a host erase
+  FailQueueIfStuck();
 }
 
 void AppendFtl::FinishVictim(flash::BlockAddr victim) {
@@ -478,21 +488,20 @@ void AppendFtl::FinishVictim(flash::BlockAddr victim) {
   // The collection pin from CollectVictim carries through the erase and
   // is released by its completion.
   const std::uint64_t epoch = epoch_;
-  controller_->EraseBlock(
-      victim,
-      [this, epoch, victim, flat](Status st) {
-        if (epoch != epoch_) return;
-        --in_flight_[flat];
-        migrating_ = false;
-        if (st.ok()) {
-          is_free_[flat] = true;
-          free_[victim.GlobalLun(geom())].push_back(victim);
-        }
-        PumpQueue();
-        MaybeStartMigration();
-        FailQueueIfStuck();
-      },
-      kMigrateCtx);
+  auto erased = [this, epoch, victim, flat](Status st) {
+    if (epoch != epoch_) return;
+    --in_flight_[flat];
+    migrating_ = false;
+    if (st.ok()) {
+      is_free_[flat] = true;
+      free_[victim.GlobalLun(geom())].push_back(victim);
+    }
+    PumpQueue();
+    MaybeStartMigration();
+    FailQueueIfStuck();
+  };
+  static_assert(ssd::Controller::OpCallback::fits<decltype(erased)>());
+  controller_->EraseBlock(victim, std::move(erased), kMigrateCtx);
 }
 
 // ---------------------------------------------------------------------
@@ -530,7 +539,11 @@ Status AppendFtl::PowerCycle() {
   counters_.Increment("power_cycles");
   ++epoch_;
   controller_->PowerCycle();
+  // Every queued or in-flight op died with the power: the controller
+  // drops in-flight continuations, so no slot is referenced any more.
   queue_.clear();
+  appends_.ReleaseAll();
+  reads_.ReleaseAll();
   refresh_queue_.clear();
   migrating_ = false;
   pending_reclaims_ = 0;

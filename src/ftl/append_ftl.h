@@ -3,11 +3,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/stats.h"
 #include "ftl/ftl.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -60,7 +61,7 @@ class AppendFtl : public Ftl {
   void RegisterMetrics(metrics::MetricRegistry* m) override;
 
   // --- The nameless vocabulary -------------------------------------
-  using NameCallback = std::function<void(StatusOr<std::uint64_t>)>;
+  using NameCallback = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;
 
   /// Appends one page into `stream`'s region. The callback delivers the
   /// device-issued name. `owner`/`owner_epoch` are persisted in the
@@ -84,7 +85,7 @@ class AppendFtl : public Ftl {
   /// (old name, new name) — fired synchronously as each cooperative
   /// migration / refresh relocation lands.
   using MigrationListener =
-      std::function<void(std::uint64_t, std::uint64_t)>;
+      sim::InplaceFunction<void(std::uint64_t, std::uint64_t)>;
   void SetMigrationListener(MigrationListener listener) {
     migration_listener_ = std::move(listener);
   }
@@ -123,6 +124,8 @@ class AppendFtl : public Ftl {
     std::uint32_t next_page = 0;
   };
 
+  /// One queued or in-flight append, in a pooled slot; the ProgramPage
+  /// continuation captures {this, slot, epoch}.
   struct PendingAppend {
     std::uint64_t token = 0;
     Lba owner = 0;
@@ -130,6 +133,18 @@ class AppendFtl : public Ftl {
     std::uint32_t region = 0;
     NameCallback cb;
     trace::Ctx ctx;
+    flash::Ppa ppa;          // set at issue
+    std::uint64_t flat = 0;  // flat block of `ppa`
+  };
+
+  /// The page move in progress (one collection runs at a time).
+  struct Migration {
+    flash::BlockAddr victim;
+    std::uint32_t page = 0;
+    flash::Ppa old_ppa;
+    std::uint64_t old_name = 0;
+    flash::Ppa dst;
+    std::uint64_t dst_flat = 0;
   };
 
   /// The hidden extra region migration/refresh relocations append into
@@ -144,8 +159,9 @@ class AppendFtl : public Ftl {
   /// compactor can always make forward progress instead of deadlocking
   /// against the writes that are waiting on it.
   bool EnsureActive(std::uint32_t region, bool for_migration = false);
-  /// Issues one append into `region` (active block must have room).
-  void IssueAppend(PendingAppend a);
+  /// Issues one append into its region (active block must have room).
+  void IssueAppend(PendingAppend* a);
+  void OnAppendDone(PendingAppend* a, Status st);
   /// Re-admits queued appends after blocks were freed.
   void PumpQueue();
 
@@ -158,6 +174,11 @@ class AppendFtl : public Ftl {
   /// fires the migration listener), then erases it.
   void CollectVictim(flash::BlockAddr victim);
   void RelocateNext(flash::BlockAddr victim, std::uint32_t page);
+  void OnMigrateRead(StatusOr<flash::PageData> res);
+  void OnMigrateProgrammed(Status st);
+  /// Ends the collection without erasing the victim (no destination,
+  /// or a lost/failed copy).
+  void AbortMigration();
   void FinishVictim(flash::BlockAddr victim);
   /// Queued appends wait only while something can still free space
   /// (a migration run or a reclaim erase in flight). Once neither is
@@ -207,9 +228,12 @@ class AppendFtl : public Ftl {
   std::vector<bool> is_active_;
   std::uint64_t live_pages_ = 0;
 
-  std::deque<PendingAppend> queue_;  // appends waiting on free blocks
+  sim::ObjectPool<PendingAppend> appends_;
+  sim::ObjectPool<ReadCallback> reads_;  // NamelessRead in flight
+  std::deque<PendingAppend*> queue_;  // appends waiting on free blocks
 
   bool migrating_ = false;
+  Migration mig_;
   std::size_t pending_reclaims_ = 0;  // EraseIfDead erases in flight
   std::deque<flash::BlockAddr> refresh_queue_;
 

@@ -1,7 +1,6 @@
 #include "ftl/block_ftl.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace postblock::ftl {
@@ -36,8 +35,7 @@ double BlockFtl::WriteAmplification() const {
          static_cast<double>(host);
 }
 
-void BlockFtl::EnqueueOp(std::uint32_t lun,
-                         std::function<void(std::function<void()>)> op) {
+void BlockFtl::EnqueueOp(std::uint32_t lun, sim::InplaceCallback op) {
   luns_[lun].ops.push_back(std::move(op));
   RunNext(lun);
 }
@@ -46,12 +44,14 @@ void BlockFtl::RunNext(std::uint32_t lun) {
   LunState& st = luns_[lun];
   if (st.busy || st.ops.empty()) return;
   st.busy = true;
-  auto op = std::move(st.ops.front());
+  sim::InplaceCallback op = std::move(st.ops.front());
   st.ops.pop_front();
-  op([this, lun]() {
-    luns_[lun].busy = false;
-    RunNext(lun);
-  });
+  op();
+}
+
+void BlockFtl::OpDone(std::uint32_t lun) {
+  luns_[lun].busy = false;
+  RunNext(lun);
 }
 
 bool BlockFtl::TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out) {
@@ -62,12 +62,11 @@ bool BlockFtl::TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out) {
     counters_.Increment("free_list_exhausted");
     return false;
   }
-  std::vector<std::uint32_t> wear;
-  wear.reserve(st.free_blocks.size());
+  free_wear_.clear();
   for (const auto& b : st.free_blocks) {
-    wear.push_back(controller_->flash()->GetBlockInfo(b).erase_count);
+    free_wear_.push_back(controller_->flash()->GetBlockInfo(b).erase_count);
   }
-  const std::size_t pick = wear_leveler_.SelectFreeBlock(wear);
+  const std::size_t pick = wear_leveler_.SelectFreeBlock(free_wear_);
   *out = st.free_blocks[pick];
   st.free_blocks.erase(st.free_blocks.begin() +
                        static_cast<std::ptrdiff_t>(pick));
@@ -99,7 +98,7 @@ void BlockFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
   const SequenceNumber seq = next_seq_++;
 
   EnqueueOp(lun, [this, vblock, off, token, seq, lun, ctx,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)]() mutable {
     VBlockEntry& e = map_[vblock];
     const auto& g = controller_->config().geometry;
     const std::uint32_t write_point =
@@ -111,7 +110,7 @@ void BlockFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
       if (!e.mapped) {
         if (!TakeFreeBlock(lun, &e.phys)) {
           cb(Status::ResourceExhausted("no free blocks on lun"));
-          op_done();
+          OpDone(lun);
           return;
         }
         e.mapped = true;
@@ -122,9 +121,9 @@ void BlockFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
       const Lba lba = vblock * g.pages_per_block + off;
       controller_->ProgramPage(
           ppa, flash::PageData{lba, seq, token, 0},
-          [cb = std::move(cb), op_done = std::move(op_done)](Status st) {
+          [this, lun, cb = std::move(cb)](Status st) {
             cb(std::move(st));
-            op_done();
+            OpDone(lun);
           },
           ctx);
       return;
@@ -134,9 +133,9 @@ void BlockFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
     // trace shows one random write dragging a whole block behind it.
     counters_.Increment("merges");
     Merge(lun, vblock, off, token, seq,
-          [cb = std::move(cb), op_done = std::move(op_done)](Status st) {
+          [this, lun, cb = std::move(cb)](Status st) {
             cb(std::move(st));
-            op_done();
+            OpDone(lun);
           },
           ctx);
   });
@@ -144,121 +143,110 @@ void BlockFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
 
 void BlockFtl::Merge(std::uint32_t lun, std::uint64_t vblock,
                      std::uint64_t new_off_or_npos, std::uint64_t token,
-                     SequenceNumber seq, std::function<void(Status)> done,
+                     SequenceNumber seq, WriteCallback done,
                      trace::Ctx ctx) {
-  struct Job {
-    BlockFtl* ftl;
-    std::uint32_t lun;
-    std::uint64_t vblock;
-    std::uint64_t new_off;
-    std::uint64_t token;
-    SequenceNumber seq;
-    flash::BlockAddr old_phys;
-    bool had_old;
-    flash::BlockAddr new_phys;
-    std::uint32_t page = 0;
-    std::function<void(Status)> done;
-    trace::Ctx ctx;
-  };
-  auto job = std::make_shared<Job>();
-  job->ftl = this;
+  flash::BlockAddr new_phys;
+  if (!TakeFreeBlock(lun, &new_phys)) {
+    // No destination block: the merge (and the write that forced it)
+    // cannot proceed. Nothing has been copied or erased yet, so the old
+    // mapping stays intact and readable.
+    controller_->sim()->Schedule(0, [done = std::move(done)]() {
+      done(Status::ResourceExhausted("no free blocks on lun"));
+    });
+    return;
+  }
+  MergeJob* job = merges_.Acquire();
   job->lun = lun;
   job->vblock = vblock;
   job->new_off = new_off_or_npos;
   job->token = token;
   job->seq = seq;
-  VBlockEntry& e = map_[vblock];
+  const VBlockEntry& e = map_[vblock];
   job->had_old = e.mapped;
   if (e.mapped) job->old_phys = e.phys;
-  if (!TakeFreeBlock(lun, &job->new_phys)) {
-    // No destination block: the merge (and the write that forced it)
-    // cannot proceed. Nothing has been copied or erased yet, so the old
-    // mapping stays intact and readable.
-    controller_->sim()->Schedule(0, [done = std::move(done)]() mutable {
-      done(Status::ResourceExhausted("no free blocks on lun"));
-    });
-    return;
-  }
+  job->new_phys = new_phys;
   job->done = std::move(done);
   job->ctx = ctx;
+  MergeStep(job);
+}
 
+void BlockFtl::MergeStep(MergeJob* job) {
   // Walk pages 0..ppb-1 in ascending order (constraint C3), taking the
   // new payload at new_off and copying live pages elsewhere.
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, job, step]() {
-    const auto& g = controller_->config().geometry;
-    if (job->page >= g.pages_per_block) {
-      // Remap, then erase the old block back into the free pool.
-      map_[job->vblock] = VBlockEntry{job->new_phys, true};
-      if (!job->had_old) {
-        job->done(Status::Ok());
-        return;
-      }
-      controller_->EraseBlock(
-          job->old_phys,
-          [this, job](Status st) {
-            if (st.ok()) {
-              luns_[job->lun].free_blocks.push_back(job->old_phys);
-            } else {
-              counters_.Increment("blocks_retired");
-            }
-            job->done(Status::Ok());
-          },
-          job->ctx);
-      return;
-    }
-    const std::uint32_t p = job->page++;
-    const flash::Ppa dst{job->new_phys.channel, job->new_phys.lun,
-                         job->new_phys.plane, job->new_phys.block, p};
-    const Lba page_lba = job->vblock * g.pages_per_block + p;
-    if (p == job->new_off) {
-      controller_->ProgramPage(dst,
-                               flash::PageData{page_lba, job->seq,
-                                               job->token, 0},
-                               [job, step](Status st) {
-                                 if (!st.ok()) {
-                                   job->done(std::move(st));
-                                   return;
-                                 }
-                                 (*step)();
-                               },
-                               job->ctx);
-      return;
-    }
+  const auto& g = controller_->config().geometry;
+  if (job->page >= g.pages_per_block) {
+    // Remap, then erase the old block back into the free pool.
+    map_[job->vblock] = VBlockEntry{job->new_phys, true};
     if (!job->had_old) {
-      (*step)();
+      FinishMerge(job, Status::Ok());
       return;
     }
-    const flash::Ppa src{job->old_phys.channel, job->old_phys.lun,
-                         job->old_phys.plane, job->old_phys.block, p};
-    if (controller_->flash()->GetPageState(src) !=
-        flash::PageState::kValid) {
-      (*step)();
+    auto erased = [this, job](Status st) {
+      if (st.ok()) {
+        luns_[job->lun].free_blocks.push_back(job->old_phys);
+      } else {
+        counters_.Increment("blocks_retired");
+      }
+      FinishMerge(job, Status::Ok());
+    };
+    static_assert(ssd::Controller::OpCallback::fits<decltype(erased)>());
+    controller_->EraseBlock(job->old_phys, std::move(erased), job->ctx);
+    return;
+  }
+  const std::uint32_t p = job->page++;
+  const flash::Ppa dst{job->new_phys.channel, job->new_phys.lun,
+                       job->new_phys.plane, job->new_phys.block, p};
+  auto programmed = [this, job](Status st) {
+    OnMergeProgram(job, std::move(st));
+  };
+  static_assert(ssd::Controller::OpCallback::fits<decltype(programmed)>());
+  if (p == job->new_off) {
+    const Lba page_lba = job->vblock * g.pages_per_block + p;
+    controller_->ProgramPage(
+        dst, flash::PageData{page_lba, job->seq, job->token, 0},
+        std::move(programmed), job->ctx);
+    return;
+  }
+  if (!job->had_old) {
+    MergeStep(job);
+    return;
+  }
+  const flash::Ppa src{job->old_phys.channel, job->old_phys.lun,
+                       job->old_phys.plane, job->old_phys.block, p};
+  if (controller_->flash()->GetPageState(src) !=
+      flash::PageState::kValid) {
+    MergeStep(job);
+    return;
+  }
+  counters_.Increment("merge_page_copies");
+  auto copied = [this, job, dst](StatusOr<flash::PageData> res) {
+    if (!res.ok()) {
+      // Unreadable page: drop it (data loss surfaces on host read).
+      counters_.Increment("merge_read_failures");
+      MergeStep(job);
       return;
     }
-    counters_.Increment("merge_page_copies");
-    controller_->ReadPage(
-        src,
-        [this, job, step, dst](StatusOr<flash::PageData> res) {
-          if (!res.ok()) {
-            // Unreadable page: drop it (data loss surfaces on host read).
-            counters_.Increment("merge_read_failures");
-            (*step)();
-            return;
-          }
-          controller_->ProgramPage(dst, *res,
-                                   [job, step](Status st) {
-                                     if (!st.ok()) {
-                                       job->done(std::move(st));
-                                       return;
-                                     }
-                                     (*step)();
-                                   },
-                                   job->ctx);
-        },
+    controller_->ProgramPage(
+        dst, *res,
+        [this, job](Status st) { OnMergeProgram(job, std::move(st)); },
         job->ctx);
   };
-  (*step)();
+  static_assert(ssd::Controller::ReadCallback::fits<decltype(copied)>());
+  controller_->ReadPage(src, std::move(copied), job->ctx);
+}
+
+void BlockFtl::OnMergeProgram(MergeJob* job, Status st) {
+  if (!st.ok()) {
+    FinishMerge(job, std::move(st));
+    return;
+  }
+  MergeStep(job);
+}
+
+void BlockFtl::FinishMerge(MergeJob* job, Status st) {
+  WriteCallback done = std::move(job->done);
+  merges_.Release(job);
+  done(std::move(st));
 }
 
 void BlockFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
@@ -273,13 +261,13 @@ void BlockFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
   const std::uint64_t vblock = lba / g.pages_per_block;
   const std::uint32_t off = static_cast<std::uint32_t>(lba % g.pages_per_block);
   const std::uint32_t lun = LunOf(vblock);
-  EnqueueOp(lun, [this, vblock, off, ctx,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+  EnqueueOp(lun, [this, vblock, off, lun, ctx,
+                  cb = std::move(cb)]() mutable {
     const VBlockEntry& e = map_[vblock];
     if (!e.mapped) {
       counters_.Increment("host_reads_unmapped");
       cb(std::uint64_t{0});
-      op_done();
+      OpDone(lun);
       return;
     }
     const flash::Ppa ppa{e.phys.channel, e.phys.lun, e.phys.plane,
@@ -288,20 +276,19 @@ void BlockFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
         flash::PageState::kValid) {
       counters_.Increment("host_reads_unmapped");
       cb(std::uint64_t{0});
-      op_done();
+      OpDone(lun);
       return;
     }
     controller_->ReadPage(
         ppa,
-        [this, cb = std::move(cb), op_done = std::move(op_done)](
-            StatusOr<flash::PageData> res) {
+        [this, lun, cb = std::move(cb)](StatusOr<flash::PageData> res) {
           if (!res.ok()) {
             counters_.Increment("read_failures");
             cb(res.status());
           } else {
             cb(res->token);
           }
-          op_done();
+          OpDone(lun);
         },
         ctx);
   });
@@ -319,8 +306,7 @@ void BlockFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
   const std::uint64_t vblock = lba / g.pages_per_block;
   const std::uint32_t off = static_cast<std::uint32_t>(lba % g.pages_per_block);
   const std::uint32_t lun = LunOf(vblock);
-  EnqueueOp(lun, [this, vblock, off,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+  EnqueueOp(lun, [this, vblock, off, lun, cb = std::move(cb)]() {
     const VBlockEntry& e = map_[vblock];
     if (e.mapped) {
       const flash::Ppa ppa{e.phys.channel, e.phys.lun, e.phys.plane,
@@ -331,7 +317,7 @@ void BlockFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
       }
     }
     cb(Status::Ok());
-    op_done();
+    OpDone(lun);
   });
 }
 

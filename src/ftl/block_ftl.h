@@ -3,12 +3,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/stats.h"
 #include "ftl/ftl.h"
 #include "ftl/wear_leveler.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -46,15 +47,33 @@ class BlockFtl : public Ftl {
     bool mapped = false;
   };
   struct LunState {
-    std::deque<std::function<void(std::function<void()>)>> ops;
+    std::deque<sim::InplaceCallback> ops;
     bool busy = false;
     std::vector<flash::BlockAddr> free_blocks;
   };
 
-  // Firmware op queue: one op at a time per LUN.
-  void EnqueueOp(std::uint32_t lun,
-                 std::function<void(std::function<void()>)> op);
+  /// One copy-on-write merge in flight, in a pooled slot released when
+  /// the merge completes (or fails); its flash continuations capture
+  /// {this, job}.
+  struct MergeJob {
+    std::uint32_t lun = 0;
+    std::uint64_t vblock = 0;
+    std::uint64_t new_off = 0;
+    std::uint64_t token = 0;
+    SequenceNumber seq = 0;
+    flash::BlockAddr old_phys;
+    bool had_old = false;
+    flash::BlockAddr new_phys;
+    std::uint32_t page = 0;  // next page of the walk
+    WriteCallback done;
+    trace::Ctx ctx;
+  };
+
+  // Firmware op queue: one op at a time per LUN. Every op ends by
+  // calling OpDone(lun).
+  void EnqueueOp(std::uint32_t lun, sim::InplaceCallback op);
   void RunNext(std::uint32_t lun);
+  void OpDone(std::uint32_t lun);
 
   std::uint32_t LunOf(std::uint64_t vblock) const {
     return static_cast<std::uint32_t>(vblock % luns_.size());
@@ -69,14 +88,20 @@ class BlockFtl : public Ftl {
   // block's live pages plus (optionally) one new page at `new_off`.
   void Merge(std::uint32_t lun, std::uint64_t vblock,
              std::uint64_t new_off_or_npos, std::uint64_t token,
-             SequenceNumber seq, std::function<void(Status)> done,
-             trace::Ctx ctx);
+             SequenceNumber seq, WriteCallback done, trace::Ctx ctx);
+  /// Takes the merge walk one page further (or remaps and erases).
+  void MergeStep(MergeJob* job);
+  void OnMergeProgram(MergeJob* job, Status st);
+  /// Recycles `job`, then reports `st` to its owner.
+  void FinishMerge(MergeJob* job, Status st);
 
   ssd::Controller* controller_;
   std::uint64_t user_vblocks_;
   std::uint64_t user_pages_;
   std::vector<VBlockEntry> map_;
   std::vector<LunState> luns_;
+  sim::ObjectPool<MergeJob> merges_;
+  std::vector<std::uint32_t> free_wear_;  // TakeFreeBlock scratch
   WearLeveler wear_leveler_;
   SequenceNumber next_seq_ = 1;
   Counters counters_;

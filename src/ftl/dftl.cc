@@ -67,7 +67,7 @@ void Dftl::FinishFetch(std::uint64_t tp) {
 }
 
 void Dftl::EnsureCached(std::uint64_t tp, bool make_dirty,
-                        std::function<void()> then) {
+                        sim::InplaceCallback then) {
   auto hit = cmt_.find(tp);
   if (hit != cmt_.end()) {
     counters_.Increment("cmt_hits");

@@ -10,6 +10,7 @@
 #include "common/stats.h"
 #include "ftl/ftl.h"
 #include "ftl/page_ftl.h"
+#include "sim/inplace_callback.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -67,7 +68,7 @@ class Dftl : public Ftl {
   /// Ensures tp is CMT-resident (possibly evicting + fetching with real
   /// flash IO), then runs `then`.
   void EnsureCached(std::uint64_t tp, bool make_dirty,
-                    std::function<void()> then);
+                    sim::InplaceCallback then);
   void FinishFetch(std::uint64_t tp);
 
   ssd::Controller* controller_;
@@ -82,7 +83,7 @@ class Dftl : public Ftl {
   std::vector<bool> tp_persisted_;
   /// Ops waiting on an in-flight fetch of the same translation page.
   struct FetchState {
-    std::vector<std::function<void()>> waiters;
+    std::vector<sim::InplaceCallback> waiters;
     bool dirty = false;
   };
   std::unordered_map<std::uint64_t, FetchState> fetch_waiters_;

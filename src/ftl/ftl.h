@@ -2,8 +2,6 @@
 #define POSTBLOCK_FTL_FTL_H_
 
 #include <cstdint>
-#include <functional>
-
 #include <string>
 
 #include "common/stats.h"
@@ -11,6 +9,7 @@
 #include "common/statusor.h"
 #include "common/types.h"
 #include "metrics/metrics.h"
+#include "sim/inplace_callback.h"
 #include "trace/trace.h"
 
 namespace postblock::ftl {
@@ -23,8 +22,11 @@ namespace postblock::ftl {
 /// once. Page payloads are modeled as 64-bit tokens (flash::PageData).
 class Ftl {
  public:
-  using WriteCallback = std::function<void(Status)>;
-  using ReadCallback = std::function<void(StatusOr<std::uint64_t>)>;
+  /// Move-only continuations (sim::InplaceFunction): a caller keeps
+  /// its per-op state in a pool it owns and captures only pointers, so
+  /// the callback stays in the inline buffer.
+  using WriteCallback = sim::InplaceFunction<void(Status)>;
+  using ReadCallback = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;
 
   virtual ~Ftl() = default;
 

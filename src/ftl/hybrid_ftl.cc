@@ -1,7 +1,6 @@
 #include "ftl/hybrid_ftl.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace postblock::ftl {
@@ -43,8 +42,7 @@ double HybridFtl::WriteAmplification() const {
          static_cast<double>(host);
 }
 
-void HybridFtl::EnqueueOp(std::uint32_t lun,
-                          std::function<void(std::function<void()>)> op) {
+void HybridFtl::EnqueueOp(std::uint32_t lun, sim::InplaceCallback op) {
   luns_[lun].ops.push_back(std::move(op));
   RunNext(lun);
 }
@@ -53,12 +51,14 @@ void HybridFtl::RunNext(std::uint32_t lun) {
   LunState& st = luns_[lun];
   if (st.busy || st.ops.empty()) return;
   st.busy = true;
-  auto op = std::move(st.ops.front());
+  sim::InplaceCallback op = std::move(st.ops.front());
   st.ops.pop_front();
-  op([this, lun]() {
-    luns_[lun].busy = false;
-    RunNext(lun);
-  });
+  op();
+}
+
+void HybridFtl::OpDone(std::uint32_t lun) {
+  luns_[lun].busy = false;
+  RunNext(lun);
 }
 
 bool HybridFtl::TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out) {
@@ -67,12 +67,11 @@ bool HybridFtl::TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out) {
     counters_.Increment("free_list_exhausted");
     return false;
   }
-  std::vector<std::uint32_t> wear;
-  wear.reserve(st.free_blocks.size());
+  free_wear_.clear();
   for (const auto& b : st.free_blocks) {
-    wear.push_back(controller_->flash()->GetBlockInfo(b).erase_count);
+    free_wear_.push_back(controller_->flash()->GetBlockInfo(b).erase_count);
   }
-  const std::size_t pick = wear_leveler_.SelectFreeBlock(wear);
+  const std::size_t pick = wear_leveler_.SelectFreeBlock(free_wear_);
   *out = st.free_blocks[pick];
   st.free_blocks.erase(st.free_blocks.begin() +
                        static_cast<std::ptrdiff_t>(pick));
@@ -80,7 +79,7 @@ bool HybridFtl::TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out) {
 }
 
 void HybridFtl::ReleaseBlock(std::uint32_t lun, flash::BlockAddr addr,
-                             std::function<void()> done) {
+                             sim::InplaceCallback done) {
   controller_->EraseBlock(addr, [this, lun, addr,
                                  done = std::move(done)](Status st) {
     if (st.ok()) {
@@ -130,17 +129,16 @@ void HybridFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
   const SequenceNumber seq = next_seq_++;
 
   EnqueueOp(lun, [this, vblock, off, token, seq, lun, ctx,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)]() mutable {
     VBlockEntry& e = map_[vblock];
     const auto& g = controller_->config().geometry;
     const std::uint32_t write_point =
         e.data_mapped
             ? controller_->flash()->GetBlockInfo(e.data_phys).write_point
             : 0;
-    auto finish = [cb = std::move(cb),
-                   op_done = std::move(op_done)](Status st) {
+    auto finish = [this, lun, cb = std::move(cb)](Status st) {
       cb(std::move(st));
-      op_done();
+      OpDone(lun);
     };
     if (e.log_index < 0 && (!e.data_mapped || off >= write_point)) {
       // In-order append into the data block.
@@ -166,8 +164,7 @@ void HybridFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
 
 void HybridFtl::WriteToLog(std::uint32_t lun, std::uint64_t vblock,
                            std::uint32_t off, std::uint64_t token,
-                           SequenceNumber seq,
-                           std::function<void(Status)> done,
+                           SequenceNumber seq, WriteCallback done,
                            trace::Ctx ctx) {
   LunState& st = luns_[lun];
   VBlockEntry& e = map_[vblock];
@@ -255,7 +252,7 @@ void HybridFtl::WriteToLog(std::uint32_t lun, std::uint64_t vblock,
 }
 
 void HybridFtl::MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
-                            std::function<void(Status)> done) {
+                            WriteCallback done) {
   LunState& st = luns_[lun];
   VBlockEntry& e = map_[vblock];
   const auto& g = controller_->config().geometry;
@@ -286,30 +283,19 @@ void HybridFtl::MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
   }
 
   counters_.Increment("full_merges");
-  struct Job {
-    std::uint32_t lun;
-    std::uint64_t vblock;
-    bool had_data = false;
-    flash::BlockAddr old_data;
-    bool had_log = false;
-    flash::BlockAddr old_log;
-    std::vector<std::uint32_t> offset_map;
-    flash::BlockAddr merged;
-    std::uint32_t page = 0;
-    std::uint32_t produced = 0;  // pages programmed into `merged`
-    std::function<void(Status)> done;
-  };
-  auto job = std::make_shared<Job>();
-  job->lun = lun;
-  job->vblock = vblock;
   // Claim the destination before touching the log slot: on exhaustion
   // the vblock's data+log mappings stay intact and readable.
-  if (!TakeFreeBlock(lun, &job->merged)) {
-    controller_->sim()->Schedule(0, [done = std::move(done)]() mutable {
+  flash::BlockAddr merged;
+  if (!TakeFreeBlock(lun, &merged)) {
+    controller_->sim()->Schedule(0, [done = std::move(done)]() {
       done(Status::ResourceExhausted("no free blocks on lun"));
     });
     return;
   }
+  MergeJob* job = merges_.Acquire();
+  job->lun = lun;
+  job->vblock = vblock;
+  job->merged = merged;
   job->had_data = e.data_mapped;
   if (e.data_mapped) job->old_data = e.data_phys;
   if (log != nullptr) {
@@ -320,70 +306,78 @@ void HybridFtl::MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
     e.log_index = -1;
   }
   job->done = std::move(done);
+  MergeStep(job);
+}
 
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, job, step]() {
-    const auto& g = controller_->config().geometry;
-    if (job->page >= g.pages_per_block) {
-      map_[job->vblock] = VBlockEntry{job->merged, true, -1};
-      auto after_data = [this, job]() {
-        if (job->had_log) {
-          ReleaseBlock(job->lun, job->old_log,
-                       [job]() { job->done(Status::Ok()); });
-        } else {
-          job->done(Status::Ok());
-        }
-      };
-      if (job->had_data) {
-        ReleaseBlock(job->lun, job->old_data, after_data);
-      } else {
-        after_data();
+void HybridFtl::MergeStep(MergeJob* job) {
+  const auto& g = controller_->config().geometry;
+  if (job->page >= g.pages_per_block) {
+    map_[job->vblock] = VBlockEntry{job->merged, true, -1};
+    if (job->had_data) {
+      ReleaseBlock(job->lun, job->old_data,
+                   [this, job]() { ReleaseMergedLog(job); });
+    } else {
+      ReleaseMergedLog(job);
+    }
+    return;
+  }
+  const std::uint32_t p = job->page++;
+  // Newest copy: log wins over data.
+  flash::Ppa src;
+  bool have_src = false;
+  if (job->had_log && p < job->offset_map.size() &&
+      job->offset_map[p] != kUnmappedPage) {
+    src = flash::Ppa{job->old_log.channel, job->old_log.lun,
+                     job->old_log.plane, job->old_log.block,
+                     job->offset_map[p]};
+    have_src = controller_->flash()->GetPageState(src) ==
+               flash::PageState::kValid;
+  }
+  if (!have_src && job->had_data) {
+    src = flash::Ppa{job->old_data.channel, job->old_data.lun,
+                     job->old_data.plane, job->old_data.block, p};
+    have_src = controller_->flash()->GetPageState(src) ==
+               flash::PageState::kValid;
+  }
+  if (!have_src) {
+    MergeStep(job);
+    return;
+  }
+  counters_.Increment("merge_page_copies");
+  const flash::Ppa dst{job->merged.channel, job->merged.lun,
+                       job->merged.plane, job->merged.block, p};
+  auto copied = [this, job, dst](StatusOr<flash::PageData> res) {
+    if (!res.ok()) {
+      counters_.Increment("merge_read_failures");
+      MergeStep(job);
+      return;
+    }
+    controller_->ProgramPage(dst, *res, [this, job](Status st) {
+      if (!st.ok()) {
+        FinishMerge(job, std::move(st));
+        return;
       }
-      return;
-    }
-    const std::uint32_t p = job->page++;
-    // Newest copy: log wins over data.
-    flash::Ppa src;
-    bool have_src = false;
-    if (job->had_log && p < job->offset_map.size() &&
-        job->offset_map[p] != kUnmappedPage) {
-      src = flash::Ppa{job->old_log.channel, job->old_log.lun,
-                       job->old_log.plane, job->old_log.block,
-                       job->offset_map[p]};
-      have_src = controller_->flash()->GetPageState(src) ==
-                 flash::PageState::kValid;
-    }
-    if (!have_src && job->had_data) {
-      src = flash::Ppa{job->old_data.channel, job->old_data.lun,
-                       job->old_data.plane, job->old_data.block, p};
-      have_src = controller_->flash()->GetPageState(src) ==
-                 flash::PageState::kValid;
-    }
-    if (!have_src) {
-      (*step)();
-      return;
-    }
-    counters_.Increment("merge_page_copies");
-    const flash::Ppa dst{job->merged.channel, job->merged.lun,
-                         job->merged.plane, job->merged.block, p};
-    controller_->ReadPage(
-        src, [this, job, step, dst](StatusOr<flash::PageData> res) {
-          if (!res.ok()) {
-            counters_.Increment("merge_read_failures");
-            (*step)();
-            return;
-          }
-          controller_->ProgramPage(dst, *res, [job, step](Status st) {
-            if (!st.ok()) {
-              job->done(std::move(st));
-              return;
-            }
-            ++job->produced;
-            (*step)();
-          });
-        });
+      ++job->produced;
+      MergeStep(job);
+    });
   };
-  (*step)();
+  static_assert(ssd::Controller::ReadCallback::fits<decltype(copied)>());
+  controller_->ReadPage(src, std::move(copied));
+}
+
+void HybridFtl::ReleaseMergedLog(MergeJob* job) {
+  if (job->had_log) {
+    ReleaseBlock(job->lun, job->old_log,
+                 [this, job]() { FinishMerge(job, Status::Ok()); });
+  } else {
+    FinishMerge(job, Status::Ok());
+  }
+}
+
+void HybridFtl::FinishMerge(MergeJob* job, Status st) {
+  WriteCallback done = std::move(job->done);
+  merges_.Release(job);
+  done(std::move(st));
 }
 
 void HybridFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
@@ -399,7 +393,7 @@ void HybridFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
   const std::uint32_t off = static_cast<std::uint32_t>(lba % g.pages_per_block);
   const std::uint32_t lun = LunOf(vblock);
   EnqueueOp(lun, [this, vblock, off, lun, ctx,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)]() mutable {
     const VBlockEntry& e = map_[vblock];
     const LunState& st = luns_[lun];
     flash::Ppa src;
@@ -422,20 +416,19 @@ void HybridFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
     if (!have_src) {
       counters_.Increment("host_reads_unmapped");
       cb(std::uint64_t{0});
-      op_done();
+      OpDone(lun);
       return;
     }
     controller_->ReadPage(
         src,
-        [this, cb = std::move(cb), op_done = std::move(op_done)](
-            StatusOr<flash::PageData> res) {
+        [this, lun, cb = std::move(cb)](StatusOr<flash::PageData> res) {
           if (!res.ok()) {
             counters_.Increment("read_failures");
             cb(res.status());
           } else {
             cb(res->token);
           }
-          op_done();
+          OpDone(lun);
         },
         ctx);
   });
@@ -453,8 +446,7 @@ void HybridFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
   const std::uint64_t vblock = lba / g.pages_per_block;
   const std::uint32_t off = static_cast<std::uint32_t>(lba % g.pages_per_block);
   const std::uint32_t lun = LunOf(vblock);
-  EnqueueOp(lun, [this, vblock, off, lun,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+  EnqueueOp(lun, [this, vblock, off, lun, cb = std::move(cb)]() {
     VBlockEntry& e = map_[vblock];
     LunState& st = luns_[lun];
     if (e.log_index >= 0) {
@@ -468,7 +460,7 @@ void HybridFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
         }
         log.offset_map[off] = kUnmappedPage;
         cb(Status::Ok());
-        op_done();
+        OpDone(lun);
         return;
       }
     }
@@ -481,7 +473,7 @@ void HybridFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
       }
     }
     cb(Status::Ok());
-    op_done();
+    OpDone(lun);
   });
 }
 

@@ -3,13 +3,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
 #include "ftl/ftl.h"
 #include "ftl/wear_leveler.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -64,15 +65,33 @@ class HybridFtl : public Ftl {
   };
 
   struct LunState {
-    std::deque<std::function<void(std::function<void()>)>> ops;
+    std::deque<sim::InplaceCallback> ops;
     bool busy = false;
     std::vector<flash::BlockAddr> free_blocks;
     std::vector<LogBlock> logs;  // active log blocks (<= pool size)
   };
 
-  void EnqueueOp(std::uint32_t lun,
-                 std::function<void(std::function<void()>)> op);
+  /// One full merge in flight, in a pooled slot released when the merge
+  /// completes (or fails); its flash continuations capture {this, job}.
+  struct MergeJob {
+    std::uint32_t lun = 0;
+    std::uint64_t vblock = 0;
+    bool had_data = false;
+    flash::BlockAddr old_data;
+    bool had_log = false;
+    flash::BlockAddr old_log;
+    std::vector<std::uint32_t> offset_map;
+    flash::BlockAddr merged;
+    std::uint32_t page = 0;
+    std::uint32_t produced = 0;  // pages programmed into `merged`
+    WriteCallback done;
+  };
+
+  // Firmware op queue: one op at a time per LUN. Every op ends by
+  // calling OpDone(lun).
+  void EnqueueOp(std::uint32_t lun, sim::InplaceCallback op);
   void RunNext(std::uint32_t lun);
+  void OpDone(std::uint32_t lun);
   std::uint32_t LunOf(std::uint64_t vblock) const {
     return static_cast<std::uint32_t>(vblock % luns_.size());
   }
@@ -82,16 +101,21 @@ class HybridFtl : public Ftl {
   /// into an empty vector.
   bool TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out);
   void ReleaseBlock(std::uint32_t lun, flash::BlockAddr addr,
-                    std::function<void()> done);
+                    sim::InplaceCallback done);
 
   void WriteToLog(std::uint32_t lun, std::uint64_t vblock,
                   std::uint32_t off, std::uint64_t token,
-                  SequenceNumber seq, std::function<void(Status)> done,
-                  trace::Ctx ctx);
+                  SequenceNumber seq, WriteCallback done, trace::Ctx ctx);
   /// Merges vblock's data+log into a fresh block; frees both originals.
   /// Performs a switch merge when the log is a perfect sequential image.
   void MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
-                   std::function<void(Status)> done);
+                   WriteCallback done);
+  /// Takes a full merge one page further (or remaps and frees).
+  void MergeStep(MergeJob* job);
+  /// Frees the merged-away log block, then finishes the merge.
+  void ReleaseMergedLog(MergeJob* job);
+  /// Recycles `job`, then reports `st` to its owner.
+  void FinishMerge(MergeJob* job, Status st);
   /// Picks the log block to evict when the pool is exhausted.
   std::size_t PickLogVictim(const LunState& st) const;
 
@@ -100,6 +124,8 @@ class HybridFtl : public Ftl {
   std::uint64_t user_pages_;
   std::vector<VBlockEntry> map_;
   std::vector<LunState> luns_;
+  sim::ObjectPool<MergeJob> merges_;
+  std::vector<std::uint32_t> free_wear_;  // TakeFreeBlock scratch
   WearLeveler wear_leveler_;
   SequenceNumber next_seq_ = 1;
   Counters counters_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -131,15 +130,15 @@ void PageFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
   }
   counters_.Increment("host_writes");
   counters_.Increment("host_pages_accepted");
-  PendingWrite w;
-  w.lba = lba;
-  w.token = token;
-  w.seq = next_seq_++;
-  w.epoch = epoch_;
-  w.cb = std::move(cb);
-  w.ctx = ctx;
-  w.enq_t = controller_->sim()->Now();
-  EnqueueWrite(std::move(w));
+  PendingWrite* w = writes_.Acquire();
+  w->lba = lba;
+  w->token = token;
+  w->seq = next_seq_++;
+  w->epoch = epoch_;
+  w->cb = std::move(cb);
+  w->ctx = ctx;
+  w->enq_t = controller_->sim()->Now();
+  EnqueueWrite(w);
 }
 
 void PageFtl::WriteAtomic(std::vector<std::pair<Lba, std::uint64_t>> pages,
@@ -169,16 +168,16 @@ void PageFtl::WriteAtomic(std::vector<std::pair<Lba, std::uint64_t>> pages,
   AtomicGroup& tracker = atomic_groups_[group];
   tracker.cb = std::move(cb);
   for (const auto& [lba, token] : pages) {
-    PendingWrite w;
-    w.lba = lba;
-    w.token = token;
-    w.seq = next_seq_++;
-    w.group = group;
-    w.epoch = epoch_;
-    w.ctx = ctx;
-    w.enq_t = controller_->sim()->Now();
-    tracker.pages.emplace_back(lba, w.seq);
-    EnqueueWrite(std::move(w));
+    PendingWrite* w = writes_.Acquire();
+    w->lba = lba;
+    w->token = token;
+    w->seq = next_seq_++;
+    w->group = group;
+    w->epoch = epoch_;
+    w->ctx = ctx;
+    w->enq_t = controller_->sim()->Now();
+    tracker.pages.emplace_back(lba, w->seq);
+    EnqueueWrite(w);
   }
 }
 
@@ -196,8 +195,8 @@ bool PageFtl::LunWedged(std::uint32_t lun) const {
   return !GcFeasible(lun);
 }
 
-void PageFtl::EnqueueWrite(PendingWrite w) {
-  std::uint32_t lun = placement_->LunForWrite(w.lba);
+void PageFtl::EnqueueWrite(PendingWrite* w) {
+  std::uint32_t lun = placement_->LunForWrite(w->lba);
   if (LunWedged(lun)) {
     const std::uint32_t n = static_cast<std::uint32_t>(luns_.size());
     for (std::uint32_t off = 1; off < n; ++off) {
@@ -209,7 +208,7 @@ void PageFtl::EnqueueWrite(PendingWrite w) {
       }
     }
   }
-  luns_[lun].host_queue.push_back(std::move(w));
+  luns_[lun].host_queue.push_back(w);
   PumpLun(lun);
 }
 
@@ -225,13 +224,12 @@ bool PageFtl::TakeFreeBlock(std::uint32_t lun, bool for_gc) {
     // these blocks.
     return false;
   }
-  std::vector<std::uint32_t> wear;
-  wear.reserve(st.free_blocks.size());
+  free_wear_.clear();
   for (const auto& b : st.free_blocks) {
-    wear.push_back(controller_->flash()->GetBlockInfo(b).erase_count);
+    free_wear_.push_back(controller_->flash()->GetBlockInfo(b).erase_count);
   }
   const std::size_t pick = wear_leveler_.SelectFreeBlock(
-      wear, /*prefer_worn=*/for_gc && st.collecting_wl);
+      free_wear_, /*prefer_worn=*/for_gc && st.collecting_wl);
   const flash::BlockAddr taken = st.free_blocks[pick];
   st.free_blocks.erase(st.free_blocks.begin() +
                        static_cast<std::ptrdiff_t>(pick));
@@ -253,8 +251,7 @@ void PageFtl::PumpLun(std::uint32_t lun) {
   LunState& st = luns_[lun];
   for (;;) {
     const bool use_gc = !st.gc_queue.empty();
-    std::deque<PendingWrite>* queue =
-        use_gc ? &st.gc_queue : &st.host_queue;
+    WriteQueue* queue = use_gc ? &st.gc_queue : &st.host_queue;
     if (queue->empty()) break;
 
     bool* has_active = use_gc ? &st.has_gc_active : &st.has_active;
@@ -277,11 +274,7 @@ void PageFtl::PumpLun(std::uint32_t lun) {
               const std::uint32_t cand = (lun + off) % n;
               if (!LunWedged(cand)) {
                 counters_.Add("stall_reroutes", st.host_queue.size());
-                while (!st.host_queue.empty()) {
-                  luns_[cand].host_queue.push_back(
-                      std::move(st.host_queue.front()));
-                  st.host_queue.pop_front();
-                }
+                luns_[cand].host_queue.splice_back(&st.host_queue);
                 PumpLun(cand);
                 return;
               }
@@ -298,48 +291,53 @@ void PageFtl::PumpLun(std::uint32_t lun) {
       st.stalled = false;
     }
 
-    PendingWrite w = std::move(queue->front());
-    queue->pop_front();
-    const flash::Ppa ppa{active->channel, active->lun, active->plane,
-                         active->block, (*next_page)++};
-    const std::uint64_t flat = FlatBlock(*active);
-    ++in_flight_[flat];
+    PendingWrite* w = queue->pop_front();
+    w->lun = lun;
+    w->ppa = flash::Ppa{active->channel, active->lun, active->plane,
+                        active->block, (*next_page)++};
+    w->flat = FlatBlock(*active);
+    ++in_flight_[w->flat];
     const SimTime now = controller_->sim()->Now();
-    last_write_[flat] = now;
+    last_write_[w->flat] = now;
 
     // Mapping/placement stage: from FTL enqueue to flash issue (covers
-    // free-block waits and GC-reserve stalls). Copy the ctx out before
-    // the capture below moves `w`.
-    const trace::Ctx ctx = w.ctx;
+    // free-block waits and GC-reserve stalls).
+    const trace::Ctx ctx = w->ctx;
     if (tracer_ != nullptr && tracer_->enabled() && ctx.span != 0 &&
-        now > w.enq_t) {
+        now > w->enq_t) {
       tracer_->Record(trace::Stage::kMap, ctx.origin, ctx.span,
-                      ctx.parent, ftl_tracks_[lun], w.enq_t, now, w.lba);
+                      ctx.parent, ftl_tracks_[lun], w->enq_t, now, w->lba);
     }
 
     flash::PageData data;
-    data.lba = w.is_commit_marker ? flash::kAtomicCommitLba : w.lba;
-    data.seq = w.seq;
-    data.token = w.token;
-    data.group = w.group;
-    controller_->ProgramPage(
-        ppa, data,
-        [this, lun, flat, w = std::move(w), ppa](Status s) mutable {
-          --in_flight_[flat];
-          OnProgramDone(lun, std::move(w), ppa, std::move(s));
-        },
-        ctx);
+    data.lba = w->is_commit_marker ? flash::kAtomicCommitLba : w->lba;
+    data.seq = w->seq;
+    data.token = w->token;
+    data.group = w->group;
+    auto done = [this, w](Status s) {
+      --in_flight_[w->flat];
+      OnProgramDone(w, std::move(s));
+    };
+    static_assert(ssd::Controller::OpCallback::fits<decltype(done)>());
+    controller_->ProgramPage(w->ppa, data, std::move(done), ctx);
   }
   MaybeStartGc(lun);
 }
 
-void PageFtl::OnProgramDone(std::uint32_t lun, PendingWrite w,
-                            flash::Ppa ppa, Status st) {
-  if (w.epoch != epoch_) return;  // power-cycled away
+void PageFtl::OnProgramDone(PendingWrite* slot, Status st) {
+  if (slot->epoch != epoch_) return;  // power-cycled away
+  // Recycle the slot before anything can re-enter: the callbacks below
+  // may submit new writes.
+  PendingWrite w = std::move(*slot);
+  writes_.Release(slot);
+  const std::uint32_t lun = w.lun;
+  const flash::Ppa ppa = w.ppa;
   if (!st.ok()) {
     counters_.Increment("program_failures");
     if (w.group != 0 && !w.is_commit_marker) {
       OnAtomicPageProgrammed(w.group, w.lba, w.seq, ppa, st);
+    } else if (w.is_relocate) {
+      RelocationDone(lun);
     } else if (w.cb) {
       w.cb(std::move(st));
     }
@@ -356,7 +354,7 @@ void PageFtl::OnProgramDone(std::uint32_t lun, PendingWrite w,
       } else {
         (void)controller_->flash()->MarkInvalid(ppa);
       }
-      if (w.cb) w.cb(Status::Ok());
+      RelocationDone(lun);
     } else {
       counters_.Increment("atomic_commit_pages");
       auto it = atomic_groups_.find(w.group);
@@ -378,7 +376,11 @@ void PageFtl::OnProgramDone(std::uint32_t lun, PendingWrite w,
       if (it != atomic_live_.end()) ++it->second.count;
     }
     ApplyMapping(w, ppa);
-    if (w.cb) w.cb(Status::Ok());
+    if (w.is_relocate) {
+      RelocationDone(lun);
+    } else if (w.cb) {
+      w.cb(Status::Ok());
+    }
   }
   PumpLun(lun);
 }
@@ -461,14 +463,14 @@ void PageFtl::OnAtomicPageProgrammed(std::uint64_t group, Lba /*lba*/,
     return;
   }
   // All pages durable: write the commit marker, then flip mappings.
-  PendingWrite marker;
-  marker.lba = 0;  // ignored; PageData.lba becomes kAtomicCommitLba
-  marker.token = group;
-  marker.seq = next_seq_++;
-  marker.group = group;
-  marker.is_commit_marker = true;
-  marker.epoch = epoch_;
-  EnqueueWrite(std::move(marker));
+  PendingWrite* marker = writes_.Acquire();
+  marker->lba = 0;  // ignored; PageData.lba becomes kAtomicCommitLba
+  marker->token = group;
+  marker->seq = next_seq_++;
+  marker->group = group;
+  marker->is_commit_marker = true;
+  marker->epoch = epoch_;
+  EnqueueWrite(marker);
 }
 
 void PageFtl::CommitAtomicGroup(std::uint64_t group) {
@@ -506,57 +508,83 @@ void PageFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
     return;
   }
   counters_.Increment("host_reads");
-  ReadAttempt(lba, 0, std::move(cb), ctx);
+  ReadOp* op = reads_.Acquire();
+  op->lba = lba;
+  op->ctx = ctx;
+  op->cb = std::move(cb);
+  ReadAttempt(op);
 }
 
-void PageFtl::ReadAttempt(Lba lba, int tries, ReadCallback cb,
-                          trace::Ctx ctx) {
-  const MapEntry& e = map_[lba];
+void PageFtl::ReadAttempt(ReadOp* op) {
+  const MapEntry& e = map_[op->lba];
   if (!e.mapped) {
     counters_.Increment("host_reads_unmapped");
-    PostGuarded(std::move(cb), StatusOr<std::uint64_t>(std::uint64_t{0}));
+    PostRead(op, Status::Ok());
     return;
   }
   if (e.poisoned) {
     // The data is known-lost and the physical page may be recycled:
     // answer DataLoss without touching flash (definite, repeatable).
     counters_.Increment("host_reads_poisoned");
-    PostGuarded(std::move(cb),
-                StatusOr<std::uint64_t>(Status::DataLoss(
-                    "lba " + std::to_string(lba) + " lost to media")));
+    PostRead(op, Status::DataLoss("lba " + std::to_string(op->lba) +
+                                  " lost to media"));
     return;
   }
-  const flash::Ppa ppa = e.ppa;
-  const SequenceNumber expected_seq = e.seq;
+  op->ppa = e.ppa;
+  op->expected_seq = e.seq;
+  op->epoch = epoch_;
+  auto done = [this, op](StatusOr<flash::PageData> res) {
+    OnReadDone(op, std::move(res));
+  };
+  static_assert(ssd::Controller::ReadCallback::fits<decltype(done)>());
+  controller_->ReadPage(op->ppa, std::move(done), op->ctx);
+}
+
+void PageFtl::OnReadDone(ReadOp* op, StatusOr<flash::PageData> res) {
+  if (op->epoch != epoch_) return;  // power-cycled away
+  if (res.ok() && res->lba == op->lba && res->seq == op->expected_seq) {
+    FinishRead(op, res->token);
+    return;
+  }
+  if (!res.ok() && res.status().IsDataLoss()) {
+    // The whole retry ladder failed: the payload is gone for good.
+    // Poison so later reads answer without re-sensing.
+    counters_.Increment("read_failures");
+    PoisonMapping(op->lba, op->ppa, op->expected_seq);
+    FinishRead(op, res.status());
+    return;
+  }
+  // The page moved (GC/WL) or was erased between the mapping lookup and
+  // the array read; chase the current mapping.
+  counters_.Increment("read_retries");
+  if (op->tries + 1 > kMaxReadRetries) {
+    FinishRead(op, Status::Internal("read retry limit for lba " +
+                                    std::to_string(op->lba)));
+    return;
+  }
+  ++op->tries;
+  ReadAttempt(op);
+}
+
+void PageFtl::PostRead(ReadOp* op, Status status) {
+  op->status = std::move(status);
   const std::uint64_t epoch = epoch_;
-  controller_->ReadPage(
-      ppa,
-      [this, lba, tries, ppa, expected_seq, epoch, ctx,
-       cb = std::move(cb)](StatusOr<flash::PageData> res) mutable {
-        if (epoch != epoch_) return;  // power-cycled away
-        if (res.ok() && res->lba == lba && res->seq == expected_seq) {
-          cb(res->token);
-          return;
-        }
-        if (!res.ok() && res.status().IsDataLoss()) {
-          // The whole retry ladder failed: the payload is gone for
-          // good. Poison so later reads answer without re-sensing.
-          counters_.Increment("read_failures");
-          PoisonMapping(lba, ppa, expected_seq);
-          cb(res.status());
-          return;
-        }
-        // The page moved (GC/WL) or was erased between the mapping
-        // lookup and the array read; chase the current mapping.
-        counters_.Increment("read_retries");
-        if (tries + 1 > kMaxReadRetries) {
-          cb(Status::Internal("read retry limit for lba " +
-                              std::to_string(lba)));
-          return;
-        }
-        ReadAttempt(lba, tries + 1, std::move(cb), ctx);
-      },
-      ctx);
+  auto post = [this, op, epoch] {
+    if (epoch != epoch_) return;  // the slot died with the power cycle
+    if (op->status.ok()) {
+      FinishRead(op, std::uint64_t{0});
+    } else {
+      FinishRead(op, std::move(op->status));
+    }
+  };
+  static_assert(sim::InplaceCallback::fits<decltype(post)>());
+  controller_->sim()->Schedule(0, std::move(post));
+}
+
+void PageFtl::FinishRead(ReadOp* op, StatusOr<std::uint64_t> result) {
+  ReadCallback cb = std::move(op->cb);
+  reads_.Release(op);
+  cb(std::move(result));
 }
 
 // ---------------------------------------------------------------------
@@ -590,9 +618,11 @@ void PageFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
 // Garbage collection & wear leveling
 // ---------------------------------------------------------------------
 
-std::vector<BlockMeta> PageFtl::GcCandidates(std::uint32_t lun) const {
+const std::vector<BlockMeta>& PageFtl::GcCandidates(
+    std::uint32_t lun) const {
   const auto& g = geom();
-  std::vector<BlockMeta> out;
+  std::vector<BlockMeta>& out = gc_candidates_;
+  out.clear();
   const std::uint32_t channel = lun / g.luns_per_channel;
   const std::uint32_t lun_in_channel = lun % g.luns_per_channel;
   for (std::uint32_t plane = 0; plane < g.planes_per_lun; ++plane) {
@@ -725,7 +755,7 @@ void PageFtl::MaybeStartStaticWl(std::uint32_t lun) {
   // Erase-count spread across this LUN's *data* blocks. Free blocks are
   // excluded: a young free block is available budget, not a problem —
   // only cold data pinning a young block wastes its cycles.
-  const auto candidates = GcCandidates(lun);
+  const std::vector<BlockMeta>& candidates = GcCandidates(lun);
   std::uint32_t min_e = ~0u;
   std::uint32_t max_e = 0;
   for (const auto& c : candidates) {
@@ -748,111 +778,112 @@ void PageFtl::MaybeStartStaticWl(std::uint32_t lun) {
 
 void PageFtl::CollectBlock(std::uint32_t lun, flash::BlockAddr victim,
                            bool is_wl) {
+  LunState& st = luns_[lun];
   const auto& bi = controller_->flash()->GetBlockInfo(victim);
-  std::vector<flash::Ppa> live;
+  st.gc_live.clear();
   for (std::uint32_t p = 0; p < bi.write_point; ++p) {
     const flash::Ppa ppa{victim.channel, victim.lun, victim.plane,
                          victim.block, p};
     if (controller_->flash()->GetPageState(ppa) == flash::PageState::kValid) {
-      live.push_back(ppa);
+      st.gc_live.push_back(ppa);
     }
   }
-  counters_.Add(is_wl ? "wl_page_moves" : "gc_page_moves", live.size());
-  if (live.empty()) {
+  counters_.Add(is_wl ? "wl_page_moves" : "gc_page_moves",
+                st.gc_live.size());
+  if (st.gc_live.empty()) {
     FinishCollect(lun, victim, is_wl);
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(live.size());
-  for (const auto& ppa : live) {
-    RelocatePage(lun, ppa, is_wl, [this, lun, victim, is_wl, remaining]() {
-      if (--*remaining == 0) FinishCollect(lun, victim, is_wl);
-    });
-  }
+  st.gc_victim = victim;
+  st.gc_remaining = st.gc_live.size();
+  for (const auto& ppa : st.gc_live) RelocatePage(lun, ppa, is_wl);
 }
 
-void PageFtl::RelocatePage(std::uint32_t lun, flash::Ppa ppa, bool is_wl,
-                           std::function<void()> done) {
+void PageFtl::RelocatePage(std::uint32_t lun, flash::Ppa ppa, bool is_wl) {
   const std::uint64_t epoch = epoch_;
   counters_.Increment(is_wl ? "wl_reads" : "gc_reads");
-  controller_->ReadPage(
-      ppa,
-      [this, lun, ppa, epoch, is_wl,
-       done = std::move(done)](StatusOr<flash::PageData> res) mutable {
-        if (epoch != epoch_) return;
-        if (!res.ok()) {
-          // ECC death during GC: the copy is lost. Poison the mapping
-          // *before* the victim erase is allowed to proceed — leaving
-          // it pointing into the about-to-be-recycled block would let
-          // a later host read return a different LBA's data.
-          counters_.Increment("gc_read_failures");
-          PoisonLostPage(ppa);
-          done();
-          return;
-        }
-        const flash::PageData d = *res;
-        PendingWrite w;
-        w.is_relocate = true;
-        w.seq = d.seq;
-        w.token = d.token;
-        w.group = d.group;
-        w.epoch = epoch_;
-        w.expected_old = ppa;
-        w.ctx = luns_[lun].gc_ctx;
-        w.enq_t = controller_->sim()->Now();
-        if (d.lba == flash::kAtomicCommitLba) {
-          w.is_commit_marker = true;
-          w.lba = 0;
-        } else {
-          w.lba = d.lba;
-        }
-        w.cb = [done = std::move(done)](Status) { done(); };
-        // Relocations stay on the victim's LUN and jump the host queue.
-        luns_[lun].gc_queue.push_back(std::move(w));
-        PumpLun(lun);
-      },
-      luns_[lun].gc_ctx);
+  auto copy = [this, lun, ppa, epoch](StatusOr<flash::PageData> res) {
+    if (epoch != epoch_) return;
+    if (!res.ok()) {
+      // ECC death during GC: the copy is lost. Poison the mapping
+      // *before* the victim erase is allowed to proceed — leaving it
+      // pointing into the about-to-be-recycled block would let a later
+      // host read return a different LBA's data.
+      counters_.Increment("gc_read_failures");
+      PoisonLostPage(ppa);
+      RelocationDone(lun);
+      return;
+    }
+    const flash::PageData& d = *res;
+    PendingWrite* w = writes_.Acquire();
+    w->is_relocate = true;
+    w->seq = d.seq;
+    w->token = d.token;
+    w->group = d.group;
+    w->epoch = epoch_;
+    w->expected_old = ppa;
+    w->ctx = luns_[lun].gc_ctx;
+    w->enq_t = controller_->sim()->Now();
+    if (d.lba == flash::kAtomicCommitLba) {
+      w->is_commit_marker = true;
+      w->lba = 0;
+    } else {
+      w->lba = d.lba;
+    }
+    // Relocations stay on the victim's LUN and jump the host queue.
+    luns_[lun].gc_queue.push_back(w);
+    PumpLun(lun);
+  };
+  static_assert(ssd::Controller::ReadCallback::fits<decltype(copy)>());
+  controller_->ReadPage(ppa, std::move(copy), luns_[lun].gc_ctx);
+}
+
+void PageFtl::RelocationDone(std::uint32_t lun) {
+  LunState& st = luns_[lun];
+  if (--st.gc_remaining == 0) {
+    FinishCollect(lun, st.gc_victim, st.collecting_wl);
+  }
 }
 
 void PageFtl::FinishCollect(std::uint32_t lun, flash::BlockAddr victim,
                             bool is_wl) {
   const std::uint64_t epoch = epoch_;
-  controller_->EraseBlock(
-      victim,
-      [this, lun, victim, epoch, is_wl](Status st) {
-        if (epoch != epoch_) return;
-        counters_.Increment(is_wl ? "wl_erases" : "gc_erases");
-        LunState& lst = luns_[lun];
-        if (is_wl) {
-          lst.erases_since_wl = 0;
-        } else {
-          ++lst.erases_since_wl;
-        }
-        if (st.ok()) {
-          lst.free_blocks.push_back(victim);
-          is_free_[FlatBlock(victim)] = true;
-        } else {
-          // Erase failure retired the block (already marked bad).
-          counters_.Increment("blocks_retired");
-        }
-        // The collection as one interval on the LUN's FTL track: pick
-        // to erase-done, relocation traffic included.
-        if (tracer_ != nullptr && tracer_->enabled() &&
-            lst.gc_ctx.span != 0) {
-          tracer_->Record(trace::Stage::kGc, lst.gc_ctx.origin,
-                          lst.gc_ctx.span, 0, ftl_tracks_[lun],
-                          lst.gc_start, controller_->sim()->Now(),
-                          victim.block);
-        }
-        lst.gc_ctx = trace::Ctx{};
-        lst.gc_running = false;
-        lst.collecting_wl = false;
-        // Give static wear leveling a turn between collections — under
-        // sustained churn the free pool never recovers above the GC
-        // watermark, and WL would otherwise starve.
-        MaybeStartStaticWl(lun);
-        PumpLun(lun);
-      },
-      luns_[lun].gc_ctx);
+  auto erased = [this, lun, victim, epoch, is_wl](Status st) {
+    if (epoch != epoch_) return;
+    counters_.Increment(is_wl ? "wl_erases" : "gc_erases");
+    LunState& lst = luns_[lun];
+    if (is_wl) {
+      lst.erases_since_wl = 0;
+    } else {
+      ++lst.erases_since_wl;
+    }
+    if (st.ok()) {
+      lst.free_blocks.push_back(victim);
+      is_free_[FlatBlock(victim)] = true;
+    } else {
+      // Erase failure retired the block (already marked bad).
+      counters_.Increment("blocks_retired");
+    }
+    // The collection as one interval on the LUN's FTL track: pick
+    // to erase-done, relocation traffic included.
+    if (tracer_ != nullptr && tracer_->enabled() &&
+        lst.gc_ctx.span != 0) {
+      tracer_->Record(trace::Stage::kGc, lst.gc_ctx.origin,
+                      lst.gc_ctx.span, 0, ftl_tracks_[lun],
+                      lst.gc_start, controller_->sim()->Now(),
+                      victim.block);
+    }
+    lst.gc_ctx = trace::Ctx{};
+    lst.gc_running = false;
+    lst.collecting_wl = false;
+    // Give static wear leveling a turn between collections — under
+    // sustained churn the free pool never recovers above the GC
+    // watermark, and WL would otherwise starve.
+    MaybeStartStaticWl(lun);
+    PumpLun(lun);
+  };
+  static_assert(ssd::Controller::OpCallback::fits<decltype(erased)>());
+  controller_->EraseBlock(victim, std::move(erased), luns_[lun].gc_ctx);
 }
 
 // ---------------------------------------------------------------------
@@ -878,8 +909,13 @@ Status PageFtl::PowerCycle() {
     st.free_blocks.clear();
     st.gc_ctx = trace::Ctx{};
     st.gc_start = 0;
+    st.gc_remaining = 0;
     st.refresh_queue.clear();
   }
+  // Every queued or in-flight op died with the power: the controller
+  // drops in-flight continuations, so no slot is referenced any more.
+  writes_.ReleaseAll();
+  reads_.ReleaseAll();
   atomic_groups_.clear();
   atomic_live_.clear();
   std::fill(in_flight_.begin(), in_flight_.end(), 0);

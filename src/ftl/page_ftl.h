@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +14,8 @@
 #include "ftl/mapping_types.h"
 #include "ftl/placement.h"
 #include "ftl/wear_leveler.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -67,7 +68,7 @@ class PageFtl : public Ftl {
   /// Used by the nameless-write layer so host-held names track moves —
   /// the paper's "communicating peers".
   using MigrationListener =
-      std::function<void(Lba, flash::Ppa, flash::Ppa)>;
+      sim::InplaceFunction<void(Lba, flash::Ppa, flash::Ppa)>;
   void SetMigrationListener(MigrationListener listener) {
     migration_listener_ = std::move(listener);
   }
@@ -90,25 +91,84 @@ class PageFtl : public Ftl {
   ssd::Controller* controller() { return controller_; }
 
  private:
+  /// One queued or in-flight page program, in a pooled slot: LUN
+  /// queues link slots intrusively and the ProgramPage continuation
+  /// captures only {this, slot}.
   struct PendingWrite {
     Lba lba = 0;
     std::uint64_t token = 0;
     SequenceNumber seq = 0;
     std::uint64_t group = 0;  // atomic group id, 0 = none
+    /// A GC/WL/refresh copy: its completion counts down the owning
+    /// LUN's collection instead of calling `cb`.
     bool is_relocate = false;
     bool is_commit_marker = false;
     // For relocations: the copy is only adopted if the mapping still
     // points at (expected_old, expected seq == seq).
     flash::Ppa expected_old;
     std::uint64_t epoch = 0;
-    WriteCallback cb;  // may be null for relocations
+    WriteCallback cb;  // null for relocations and commit markers
     trace::Ctx ctx;
     SimTime enq_t = 0;  // when the write entered the FTL queue
+    // Set when the program is issued.
+    std::uint32_t lun = 0;
+    std::uint64_t flat = 0;  // flat block of `ppa`
+    flash::Ppa ppa;
+    PendingWrite* next = nullptr;  // WriteQueue link
+  };
+
+  /// FIFO of pooled write slots, linked through PendingWrite::next (no
+  /// node allocation per enqueue).
+  class WriteQueue {
+   public:
+    bool empty() const { return head_ == nullptr; }
+    std::size_t size() const { return size_; }
+    void push_back(PendingWrite* w) {
+      w->next = nullptr;
+      if (tail_ == nullptr) {
+        head_ = w;
+      } else {
+        tail_->next = w;
+      }
+      tail_ = w;
+      ++size_;
+    }
+    PendingWrite* pop_front() {
+      PendingWrite* w = head_;
+      head_ = w->next;
+      if (head_ == nullptr) tail_ = nullptr;
+      w->next = nullptr;
+      --size_;
+      return w;
+    }
+    /// Moves every entry of `other` to the back of this queue, in order.
+    void splice_back(WriteQueue* other) {
+      while (!other->empty()) push_back(other->pop_front());
+    }
+    void clear() { *this = WriteQueue{}; }
+
+   private:
+    PendingWrite* head_ = nullptr;
+    PendingWrite* tail_ = nullptr;
+    std::size_t size_ = 0;
+  };
+
+  /// One host read (and its mapping-race retries), in a pooled slot.
+  struct ReadOp {
+    Lba lba = 0;
+    int tries = 0;
+    flash::Ppa ppa;
+    SequenceNumber expected_seq = 0;
+    std::uint64_t epoch = 0;
+    trace::Ctx ctx;
+    ReadCallback cb;
+    /// Answer of a read completed without flash IO (unmapped/poisoned).
+    Status status;
   };
 
   struct LunState {
-    std::deque<PendingWrite> host_queue;
-    std::deque<PendingWrite> gc_queue;  // relocations, serviced first
+    WriteQueue host_queue;
+    WriteQueue gc_queue;  // relocations, serviced first
     // Host and GC streams append into *separate* active blocks: GC's
     // relocation budget is then bounded by its own block and can never
     // be eaten by interleaved host writes (deadlock-free by
@@ -136,6 +196,11 @@ class PageFtl : public Ftl {
     /// is recorded as one kGc span [gc_start, erase done).
     trace::Ctx gc_ctx;
     SimTime gc_start = 0;
+    /// The collection in progress: its victim, the victim's live pages
+    /// (reused across collections) and the relocations still pending.
+    flash::BlockAddr gc_victim;
+    std::vector<flash::Ppa> gc_live;
+    std::size_t gc_remaining = 0;
   };
 
   struct AtomicGroup {
@@ -156,12 +221,11 @@ class PageFtl : public Ftl {
   };
 
   // Write pipeline.
-  void EnqueueWrite(PendingWrite w);
+  void EnqueueWrite(PendingWrite* w);
   bool LunWedged(std::uint32_t lun) const;
   void PumpLun(std::uint32_t lun);
   bool TakeFreeBlock(std::uint32_t lun, bool for_gc);
-  void OnProgramDone(std::uint32_t lun, PendingWrite w, flash::Ppa ppa,
-                     Status st);
+  void OnProgramDone(PendingWrite* slot, Status st);
   void ApplyMapping(const PendingWrite& w, const flash::Ppa& ppa);
   /// MarkInvalid plus atomic-group live-count bookkeeping.
   void InvalidatePage(const flash::Ppa& ppa);
@@ -178,7 +242,13 @@ class PageFtl : public Ftl {
   bool MaybeStartRefresh(std::uint32_t lun);
 
   // Read pipeline.
-  void ReadAttempt(Lba lba, int tries, ReadCallback cb, trace::Ctx ctx);
+  void ReadAttempt(ReadOp* op);
+  void OnReadDone(ReadOp* op, StatusOr<flash::PageData> res);
+  /// Completes `op` with `status` (or token 0 when ok) after a zero
+  /// delay, unless a power cycle intervenes.
+  void PostRead(ReadOp* op, Status status);
+  /// Recycles `op`, then delivers `result` to its callback.
+  void FinishRead(ReadOp* op, StatusOr<std::uint64_t> result);
 
   /// Schedules an immediate completion that dies with the current epoch
   /// (so a power cut truly silences every pending callback).
@@ -196,10 +266,14 @@ class PageFtl : public Ftl {
   void MaybeStartGc(std::uint32_t lun);
   void MaybeStartStaticWl(std::uint32_t lun);
   void CollectBlock(std::uint32_t lun, flash::BlockAddr victim, bool is_wl);
-  void RelocatePage(std::uint32_t lun, flash::Ppa ppa, bool is_wl,
-                    std::function<void()> done);
+  void RelocatePage(std::uint32_t lun, flash::Ppa ppa, bool is_wl);
+  /// One relocation of the LUN's collection finished (copied or lost);
+  /// the last one erases the victim.
+  void RelocationDone(std::uint32_t lun);
   void FinishCollect(std::uint32_t lun, flash::BlockAddr victim, bool is_wl);
-  std::vector<BlockMeta> GcCandidates(std::uint32_t lun) const;
+  /// The LUN's GC candidates, in a scratch vector reused by every call
+  /// (valid until the next call).
+  const std::vector<BlockMeta>& GcCandidates(std::uint32_t lun) const;
   bool GcFeasible(std::uint32_t lun) const;
 
   // Atomic groups.
@@ -227,6 +301,11 @@ class PageFtl : public Ftl {
   std::uint64_t epoch_ = 0;  // bumped by PowerCycle to drop completions
 
   std::vector<LunState> luns_;
+  sim::ObjectPool<PendingWrite> writes_;
+  sim::ObjectPool<ReadOp> reads_;
+  // Scratch reused by GcCandidates() and TakeFreeBlock().
+  mutable std::vector<BlockMeta> gc_candidates_;
+  std::vector<std::uint32_t> free_wear_;
   // Per flat-block: programs in flight (blocks GC victim selection),
   // last write time (cost-benefit ages), free/active flags.
   std::vector<std::uint32_t> in_flight_;

@@ -17,7 +17,12 @@ void EventQueue::Place(Entry e) {
     if (HighBits(e.when, level) == HighBits(cur_, level)) {
       const unsigned idx = static_cast<unsigned>(
           (e.when >> (kSlotBits * level)) & kSlotMask);
-      slots_[level][idx].push_back(std::move(e));
+      std::vector<Entry>& slot = slots_[level][idx];
+      if (slot.capacity() == 0 && !spare_.empty()) {
+        slot.swap(spare_.back());
+        spare_.pop_back();
+      }
+      slot.push_back(std::move(e));
       occupied_[level] |= 1ull << idx;
       return;
     }
@@ -32,7 +37,13 @@ void EventQueue::CascadeSlot(int level, unsigned idx) {
   auto& v = slots_[level][idx];
   occupied_[level] &= ~(1ull << idx);
   for (Entry& e : v) Place(std::move(e));
-  v.clear();  // keeps capacity — steady state stays allocation-free
+  // A coarse slot is next needed only when the wheel comes round again
+  // (up to ~69 simulated seconds away at the top level): hand its buffer
+  // to the next slot that fills up instead, so slots first reached late
+  // in a run reuse capacity rather than allocate.
+  v.clear();
+  spare_.emplace_back();
+  spare_.back().swap(v);
 }
 
 /// Feeds the earliest overflow block into the (empty) wheel. The wheel

@@ -18,8 +18,9 @@ namespace postblock::sim {
 /// slots each, 1 ns tick at level 0, each level kSlots times coarser
 /// than the one below. Push and Pop are O(1) amortized (an event
 /// cascades down at most kLevels-1 times over its lifetime) versus
-/// O(log n) for a binary heap, and slot vectors retain their capacity,
-/// so the steady state allocates nothing per event. Events beyond the
+/// O(log n) for a binary heap, and slot buffers are kept (level 0) or
+/// recycled between coarse slots, so the steady state allocates nothing
+/// per event. Events beyond the
 /// wheel horizon (~69 simulated seconds ahead) overflow into a sorted
 /// map and are fed back into the wheel as time advances.
 ///
@@ -106,6 +107,9 @@ class EventQueue {
   bool AdvanceWithin(SimTime bound, SimTime* when);
 
   std::vector<Entry> slots_[kLevels][kSlots];
+  /// Emptied buffers of cascaded coarse slots, taken by slots that have
+  /// none yet (see CascadeSlot).
+  std::vector<std::vector<Entry>> spare_;
   std::uint64_t occupied_[kLevels] = {};  // bitmap of nonempty slots
   /// Far-future events, keyed by timestamp; vectors hold push order.
   std::map<SimTime, std::vector<Entry>> overflow_;

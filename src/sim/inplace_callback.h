@@ -12,7 +12,7 @@
 namespace postblock::sim {
 
 /// Fixed-size chunk recycler backing the rare oversized-capture path of
-/// InplaceCallback. The simulator is single-threaded, so one slab per
+/// InplaceFunction. The simulator is single-threaded, so one slab per
 /// thread doubles as "per simulator"; chunks are returned to a free list
 /// instead of the heap, making even the fallback path allocation-free in
 /// steady state. Captures larger than kChunkBytes (none in this repo)
@@ -70,13 +70,24 @@ class CallbackSlab {
   }
 };
 
-/// Move-only `void()` callable with inline storage for small captures —
-/// the event queue's replacement for std::function<void()>. Callables
-/// whose captures fit kInlineBytes live inside the object (no heap
-/// traffic per event); larger ones are boxed in a CallbackSlab chunk.
-/// Hot-path lambdas should capture at most a few pointers/words; guard
-/// them with `static_assert(InplaceCallback::fits<decltype(cb)>())`.
-class InplaceCallback {
+/// Move-only callable with signature `Sig` and inline storage for small
+/// captures — the one callback type of the simulator, from the event
+/// queue (InplaceCallback) through the SSD device path (controller, FTL
+/// and write-buffer continuations) up to the block layer's IoCallback.
+/// Callables whose captures fit kInlineBytes live inside the object (no
+/// heap traffic per call site); larger ones are boxed in a CallbackSlab
+/// chunk. Hot-path lambdas capture at most a few pointers/words — per-op
+/// state lives in a pool owned by the layer that issues the op — and
+/// are guarded with `static_assert(Fn::fits<decltype(cb)>())`.
+///
+/// Like std::function, operator() is const-callable and the target may
+/// be invoked more than once (the merge scheduler fans one device
+/// completion out to every absorbed request's callback).
+template <typename Sig>
+class InplaceFunction;
+
+template <typename R, typename... Args>
+class InplaceFunction<R(Args...)> {
  public:
   static constexpr std::size_t kInlineBytes = 48;
 
@@ -87,13 +98,15 @@ class InplaceCallback {
            alignof(D) <= alignof(std::max_align_t);
   }
 
-  InplaceCallback() = default;
+  InplaceFunction() = default;
+  InplaceFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InplaceCallback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InplaceCallback(F&& f) {  // NOLINT(google-explicit-constructor)
+                !std::is_base_of_v<InplaceFunction, std::decay_t<F>> &&
+                !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  InplaceFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     using D = std::decay_t<F>;
     if constexpr (fits<D>()) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
@@ -106,14 +119,14 @@ class InplaceCallback {
     }
   }
 
-  InplaceCallback(InplaceCallback&& other) noexcept : ops_(other.ops_) {
+  InplaceFunction(InplaceFunction&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) {
       Relocate(other);
       other.ops_ = nullptr;
     }
   }
 
-  InplaceCallback& operator=(InplaceCallback&& other) noexcept {
+  InplaceFunction& operator=(InplaceFunction&& other) noexcept {
     if (this != &other) {
       Reset();
       ops_ = other.ops_;
@@ -125,21 +138,29 @@ class InplaceCallback {
     return *this;
   }
 
-  InplaceCallback(const InplaceCallback&) = delete;
-  InplaceCallback& operator=(const InplaceCallback&) = delete;
+  InplaceFunction& operator=(std::nullptr_t) {
+    Reset();
+    return *this;
+  }
 
-  ~InplaceCallback() { Reset(); }
+  InplaceFunction(const InplaceFunction&) = delete;
+  InplaceFunction& operator=(const InplaceFunction&) = delete;
+
+  ~InplaceFunction() { Reset(); }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
   /// True when the callable lives in the inline buffer (no slab chunk).
   bool stored_inline() const { return ops_ != nullptr && ops_->is_inline; }
 
-  void operator()() { ops_->invoke(buf_); }
+  R operator()(Args... args) const {
+    return ops_->invoke(const_cast<unsigned char*>(buf_),
+                        std::forward<Args>(args)...);
+  }
 
  private:
   struct Ops {
-    void (*invoke)(void* self);
+    R (*invoke)(void* self, Args&&... args);
     void (*relocate)(void* dst, void* src);  // move-construct + destroy src
     void (*destroy)(void* self);
     bool is_inline;
@@ -160,7 +181,7 @@ class InplaceCallback {
   /// vector moves) usually replaces the indirect relocate call — the
   /// timing wheel relocates each entry on every cascade, so this is on
   /// the per-event path.
-  void Relocate(InplaceCallback& other) {
+  void Relocate(InplaceFunction& other) {
     if (ops_->trivial_relocate) {
       std::memcpy(buf_, other.buf_, kInlineBytes);
     } else {
@@ -171,7 +192,10 @@ class InplaceCallback {
   template <typename D>
   static constexpr Ops kInlineOps = {
       // invoke
-      [](void* self) { (*std::launder(reinterpret_cast<D*>(self)))(); },
+      [](void* self, Args&&... args) -> R {
+        return (*std::launder(reinterpret_cast<D*>(self)))(
+            std::forward<Args>(args)...);
+      },
       // relocate
       [](void* dst, void* src) {
         D* s = std::launder(reinterpret_cast<D*>(src));
@@ -187,8 +211,9 @@ class InplaceCallback {
   template <typename D>
   static constexpr Ops kBoxedOps = {
       // invoke
-      [](void* self) {
-        (**std::launder(reinterpret_cast<D**>(self)))();
+      [](void* self, Args&&... args) -> R {
+        return (**std::launder(reinterpret_cast<D**>(self)))(
+            std::forward<Args>(args)...);
       },
       // relocate: the box pointer moves; the boxed object stays put.
       [](void* dst, void* src) {
@@ -204,12 +229,17 @@ class InplaceCallback {
       /*trivial_relocate=*/true,
   };
 
-  const Ops* ops_ = nullptr;
   /// Zero-initialized so the fixed-size relocation memcpy never reads
   /// indeterminate bytes; overlapping stores are elided by the compiler
-  /// when a callable is placement-newed over the buffer.
+  /// when a callable is placement-newed over the buffer. The buffer
+  /// comes first so a derived type's small fields (IoCallback's routing
+  /// context) pack into the tail padding after ops_.
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes] = {};
+  const Ops* ops_ = nullptr;
 };
+
+/// The event queue's `void()` callback.
+using InplaceCallback = InplaceFunction<void()>;
 
 }  // namespace postblock::sim
 

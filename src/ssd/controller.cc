@@ -180,23 +180,6 @@ void Controller::RegisterMetrics() {
   });
 }
 
-Controller::Op* Controller::AcquireOp() {
-  if (!op_free_.empty()) {
-    Op* op = op_free_.back();
-    op_free_.pop_back();
-    return op;
-  }
-  ops_.push_back(std::make_unique<Op>());
-  return ops_.back().get();
-}
-
-void Controller::ReleaseOp(Op* op) {
-  op->read_cb = nullptr;
-  op->op_cb = nullptr;
-  op->ctx = trace::Ctx{};
-  op_free_.push_back(op);
-}
-
 // --- Unit wait attribution ---------------------------------------------
 
 void Controller::StartOp(Op* op, trace::Ctx ctx,
@@ -313,7 +296,7 @@ std::uint64_t Controller::GcStallWriteNs() const {
 
 void Controller::ReadPage(const flash::Ppa& ppa, ReadCallback on_done,
                           trace::Ctx ctx) {
-  Op* op = AcquireOp();
+  Op* op = ops_.Acquire();
   op->src = ppa;
   op->unit = UnitIndexFor(ppa);
   op->read_cb = std::move(on_done);
@@ -347,7 +330,7 @@ void Controller::ReadTransferPhase(Op* op) {
 
 void Controller::FinishRead(Op* op) {
   if (op->epoch != epoch_) {  // power-cycled away
-    ReleaseOp(op);
+    ops_.Release(op);
     return;
   }
   flash::ReadOutcome outcome = flash::ReadOutcome::kClean;
@@ -387,7 +370,7 @@ void Controller::FinishRead(Op* op) {
   }
   if (outcome == flash::ReadOutcome::kCorrectable) NoteCorrectable(op->src);
   ReadCallback cb = std::move(op->read_cb);
-  ReleaseOp(op);
+  ops_.Release(op);
   cb(std::move(result));
 }
 
@@ -430,7 +413,7 @@ SimTime Controller::StuckPenalty(const Op* op) {
 void Controller::ProgramPage(const flash::Ppa& ppa,
                              const flash::PageData& data,
                              OpCallback on_done, trace::Ctx ctx) {
-  Op* op = AcquireOp();
+  Op* op = ops_.Acquire();
   op->src = ppa;
   op->data = data;
   op->unit = UnitIndexFor(ppa);
@@ -456,7 +439,7 @@ void Controller::ProgramArrayPhase(Op* op) {
 
 void Controller::FinishProgram(Op* op) {
   if (op->epoch != epoch_) {  // power-cycled away
-    ReleaseOp(op);
+    ops_.Release(op);
     return;
   }
   Status st = flash_.Program(op->src, op->data);
@@ -472,7 +455,7 @@ void Controller::FinishProgram(Op* op) {
       t.program_energy_nj +
           t.transfer_nj_per_kib * config_.geometry.page_size_bytes / 1024);
   OpCallback cb = std::move(op->op_cb);
-  ReleaseOp(op);
+  ops_.Release(op);
   cb(std::move(st));
 }
 
@@ -488,7 +471,7 @@ void Controller::CopybackPage(const flash::Ppa& src, const flash::Ppa& dst,
     });
     return;
   }
-  Op* op = AcquireOp();
+  Op* op = ops_.Acquire();
   op->src = src;
   op->dst = dst;
   op->unit = UnitIndexFor(src);
@@ -515,7 +498,7 @@ void Controller::CopybackBusyPhase(Op* op) {
 
 void Controller::FinishCopyback(Op* op) {
   if (op->epoch != epoch_) {  // power-cycled away
-    ReleaseOp(op);
+    ops_.Release(op);
     return;
   }
   auto data = flash_.Peek(op->src);  // in-die move: no ECC path
@@ -532,7 +515,7 @@ void Controller::FinishCopyback(Op* op) {
       "energy_nj",
       config_.timing.read_energy_nj + config_.timing.program_energy_nj);
   OpCallback cb = std::move(op->op_cb);
-  ReleaseOp(op);
+  ops_.Release(op);
   cb(std::move(st));
 }
 
@@ -540,7 +523,7 @@ void Controller::FinishCopyback(Op* op) {
 
 void Controller::EraseBlock(const flash::BlockAddr& addr,
                             OpCallback on_done, trace::Ctx ctx) {
-  Op* op = AcquireOp();
+  Op* op = ops_.Acquire();
   op->src = flash::Ppa{addr.channel, addr.lun, addr.plane, addr.block, 0};
   op->unit = UnitIndexFor(op->src);
   op->op_cb = std::move(on_done);
@@ -563,7 +546,7 @@ void Controller::EraseBusyPhase(Op* op) {
 
 void Controller::FinishErase(Op* op) {
   if (op->epoch != epoch_) {  // power-cycled away
-    ReleaseOp(op);
+    ops_.Release(op);
     return;
   }
   Status st = flash_.Erase(op->src.Block());
@@ -599,7 +582,7 @@ void Controller::FinishErase(Op* op) {
   flash_.mutable_counters()->Add("energy_nj",
                                  config_.timing.erase_energy_nj);
   OpCallback cb = std::move(op->op_cb);
-  ReleaseOp(op);
+  ops_.Release(op);
   cb(std::move(st));
 }
 

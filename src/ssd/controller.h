@@ -2,7 +2,6 @@
 #define POSTBLOCK_SSD_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +12,8 @@
 #include "common/statusor.h"
 #include "flash/chip.h"
 #include "metrics/metrics.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "ssd/channel.h"
@@ -66,8 +67,8 @@ class Controller {
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  using ReadCallback = std::function<void(StatusOr<flash::PageData>)>;
-  using OpCallback = std::function<void(Status)>;
+  using ReadCallback = sim::InplaceFunction<void(StatusOr<flash::PageData>)>;
+  using OpCallback = sim::InplaceFunction<void(Status)>;
 
   /// Timed page read through LUN + channel. `ctx` ties the op to a
   /// trace span and names its originator (host read vs GC vs ...), the
@@ -138,7 +139,8 @@ class Controller {
   /// threshold: the FTL should refresh it (relocate live data) before
   /// its errors become uncorrectable. Called at most once per block
   /// between erases, from a read-completion context.
-  using RefreshListener = std::function<void(const flash::BlockAddr&)>;
+  using RefreshListener =
+      sim::InplaceFunction<void(const flash::BlockAddr&)>;
   void SetRefreshListener(RefreshListener cb) { refresh_ = std::move(cb); }
 
   /// True once any LUN has exhausted its bad-block spare budget: the
@@ -212,9 +214,6 @@ class Controller {
     std::uint32_t unit = 0;
     std::uint32_t retry = 0;     // read-retry ladder rung (0 = first try)
   };
-
-  Op* AcquireOp();
-  void ReleaseOp(Op* op);
 
   /// Common entry for an op: stamps identity/wait state and requests
   /// the serial unit; `phase` runs on grant, after wait attribution.
@@ -332,8 +331,7 @@ class Controller {
   // are dropped when the refresh fires (at most one per block).
   std::unordered_map<std::uint64_t, std::uint32_t> correctable_counts_;
 
-  std::vector<std::unique_ptr<Op>> ops_;  // owns every Op ever created
-  std::vector<Op*> op_free_;              // recycled records
+  sim::ObjectPool<Op> ops_;  // recycled per-op records
 
   Histogram read_latency_;
   Histogram program_latency_;

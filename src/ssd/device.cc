@@ -142,162 +142,171 @@ void Device::Admit(blocklayer::IoRequest request, SimTime admit_delay) {
 
   // Firmware admission cost, then fan out page ops. Requests still in
   // admission when power is cut are dropped whole.
-  auto req = std::make_shared<blocklayer::IoRequest>(std::move(request));
-  const std::uint64_t epoch = epoch_;
-  sim_->Schedule(admit_cost,
-                 [this, epoch, root, submit_t, req = std::move(req)]() {
-                   if (epoch != epoch_) return;
-                   SubmitPageOps(req, root, submit_t);
-                 });
+  IoSlot* slot = io_slots_.Acquire();
+  slot->request = std::move(request);
+  slot->epoch = epoch_;
+  slot->root = root;
+  slot->submit_t = submit_t;
+  auto admitted = [this, slot] {
+    if (slot->epoch != epoch_) {
+      io_slots_.Release(slot);
+      return;
+    }
+    SubmitPageOps(slot);
+  };
+  static_assert(sim::InplaceCallback::fits<decltype(admitted)>());
+  sim_->Schedule(admit_cost, std::move(admitted));
 }
 
-void Device::SubmitPageOps(
-    const std::shared_ptr<blocklayer::IoRequest>& req, bool root,
-    SimTime submit_t) {
-  const blocklayer::IoRequest& request = *req;
-  const SimTime start = sim_->Now();
-  struct Tracker {
-    std::uint32_t remaining;
-    Status first_error;
-    std::vector<std::uint64_t> tokens;
-  };
-  auto tracker = std::make_shared<Tracker>();
-  tracker->remaining = request.nblocks;
-  tracker->tokens.assign(
-      request.op == blocklayer::IoOp::kRead ? request.nblocks : 0, 0);
-
-  auto on_page = [this, tracker, req, start, root,
-                  submit_t](std::uint32_t index, Status st,
-                            std::uint64_t token) {
-    const blocklayer::IoRequest& request = *req;
-    if (!st.ok() && tracker->first_error.ok()) tracker->first_error = st;
-    if (request.op == blocklayer::IoOp::kRead &&
-        index < tracker->tokens.size()) {
-      tracker->tokens[index] = token;
-    }
-    if (--tracker->remaining > 0) return;
-    const SimTime latency = sim_->Now() - start;
-    switch (request.op) {
-      case blocklayer::IoOp::kRead:
-        read_latency_.Record(latency);
-        if (metrics_ != nullptr) metrics_->Record(m_read_lat_, latency);
-        break;
-      case blocklayer::IoOp::kWrite:
-        write_latency_.Record(latency);
-        if (metrics_ != nullptr) metrics_->Record(m_write_lat_, latency);
-        break;
-      default:
-        break;
-    }
-    counters_.Increment("completions");
-    if (metrics_ != nullptr) metrics_->Increment(m_completions_);
-    // Completion routing: a multi-queue submitter stamps its software
-    // queue id on the callback; attribute the CQ post to that queue.
-    const std::uint16_t qid = request.on_complete.queue_id;
-    if (qid != blocklayer::IoCallback::kNoQueue) {
-      if (cq_posts_.size() <= qid) cq_posts_.resize(qid + 1, 0);
-      ++cq_posts_[qid];
-    }
-    if (root && tracer_ != nullptr) {
-      tracer_->Record(trace::Stage::kIo,
-                      blocklayer::OriginOf(request.op), request.span, 0,
-                      dev_track_, submit_t, sim_->Now(), request.lba);
-    }
-    request.on_complete(
-        blocklayer::IoResult{tracker->first_error,
-                             std::move(tracker->tokens)});
-  };
+void Device::SubmitPageOps(IoSlot* slot) {
+  // A page op may complete synchronously (a legacy FTL that fails fast),
+  // and the last completion recycles the slot: read everything the loops
+  // need up front, and touch the slot only before each page op.
+  const blocklayer::IoRequest& request = slot->request;
+  const blocklayer::IoOp op = request.op;
+  const Lba first = request.lba;
+  const std::uint32_t n = request.nblocks;
+  const trace::SpanId span = request.span;
+  slot->start = sim_->Now();
+  slot->remaining = n;
+  slot->tokens.assign(op == blocklayer::IoOp::kRead ? n : 0, 0);
 
   // Per-page trace context: origin always rides along (it feeds the
   // always-on GC-stall counters); spans only exist while tracing is
   // enabled. Multi-page requests get child spans so per-page flash work
   // still nests under the request in the trace.
-  const trace::Origin origin = blocklayer::OriginOf(request.op);
-  const bool fanout = Traced() && request.span != 0 && request.nblocks > 1;
-  auto page_ctx = [this, &request, origin, fanout]() {
-    trace::Ctx ctx{request.span, 0, origin};
+  const trace::Origin origin = blocklayer::OriginOf(op);
+  const bool fanout = Traced() && span != 0 && n > 1;
+  auto page_ctx = [this, span, origin, fanout]() {
+    trace::Ctx ctx{span, 0, origin};
     if (fanout) {
       ctx.span = tracer_->NewSpan();
-      ctx.parent = request.span;
+      ctx.parent = span;
     }
     return ctx;
   };
+  auto page_done = [this, slot](std::uint32_t i) {
+    auto done = [this, slot, i](Status st) {
+      OnPage(slot, i, std::move(st), 0);
+    };
+    static_assert(ftl::Ftl::WriteCallback::fits<decltype(done)>());
+    return done;
+  };
 
-  switch (request.op) {
+  switch (op) {
     case blocklayer::IoOp::kRead:
-      for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        const Lba lba = request.lba + i;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const Lba lba = first + i;
         std::uint64_t buffered = 0;
         if (write_buffer_ != nullptr &&
             write_buffer_->Lookup(lba, &buffered)) {
           counters_.Increment("buffer_read_hits");
-          if (Traced() && request.span != 0) {
+          if (Traced() && span != 0) {
             // Served from the write cache: a kMap blip, no flash work.
-            tracer_->Record(trace::Stage::kMap, origin, request.span, 0,
+            tracer_->Record(trace::Stage::kMap, origin, span, 0,
                             dev_track_, sim_->Now(),
                             sim_->Now() + config_.write_buffer.insert_ns,
                             lba);
           }
-          sim_->Schedule(config_.write_buffer.insert_ns,
-                         [on_page, i, buffered]() {
-                           on_page(i, Status::Ok(), buffered);
-                         });
+          auto hit = [this, slot, i, buffered] {
+            OnPage(slot, i, Status::Ok(), buffered);
+          };
+          static_assert(sim::InplaceCallback::fits<decltype(hit)>());
+          sim_->Schedule(config_.write_buffer.insert_ns, std::move(hit));
           continue;
         }
-        ftl_->Read(
-            lba,
-            [on_page, i](StatusOr<std::uint64_t> res) {
-              if (res.ok()) {
-                on_page(i, Status::Ok(), *res);
-              } else {
-                on_page(i, res.status(), 0);
-              }
-            },
-            page_ctx());
+        auto done = [this, slot, i](StatusOr<std::uint64_t> res) {
+          if (res.ok()) {
+            OnPage(slot, i, Status::Ok(), *res);
+          } else {
+            OnPage(slot, i, res.status(), 0);
+          }
+        };
+        static_assert(ftl::Ftl::ReadCallback::fits<decltype(done)>());
+        ftl_->Read(lba, std::move(done), page_ctx());
       }
       break;
     case blocklayer::IoOp::kWrite:
-      for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        const Lba lba = request.lba + i;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const Lba lba = first + i;
         const std::uint64_t token = request.tokens[i];
         if (write_buffer_ != nullptr) {
           // Buffered writes complete at insert; the deferred drain is
           // background work no single host IO can claim, so spans stop
           // here and the drain's flash ops run under the default
           // (kMeta) context.
-          write_buffer_->SubmitWrite(lba, token, [on_page, i](Status st) {
-            on_page(i, std::move(st), 0);
-          });
+          write_buffer_->SubmitWrite(lba, token, page_done(i));
         } else {
-          ftl_->Write(
-              lba, token,
-              [on_page, i](Status st) { on_page(i, std::move(st), 0); },
-              page_ctx());
+          ftl_->Write(lba, token, page_done(i), page_ctx());
         }
       }
       break;
     case blocklayer::IoOp::kTrim:
-      for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        const Lba lba = request.lba + i;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const Lba lba = first + i;
         if (write_buffer_ != nullptr) write_buffer_->Drop(lba);
-        ftl_->Trim(
-            lba,
-            [on_page, i](Status st) { on_page(i, std::move(st), 0); },
-            page_ctx());
+        ftl_->Trim(lba, page_done(i), page_ctx());
       }
       break;
     case blocklayer::IoOp::kFlush: {
       // Single logical page op regardless of nblocks.
-      tracker->remaining = 1;
+      slot->remaining = 1;
       if (write_buffer_ != nullptr) {
-        write_buffer_->Flush(
-            [on_page](Status st) { on_page(0, std::move(st), 0); });
+        write_buffer_->Flush(page_done(0));
       } else {
-        sim_->Schedule(0, [on_page]() { on_page(0, Status::Ok(), 0); });
+        auto flushed = [this, slot] { OnPage(slot, 0, Status::Ok(), 0); };
+        static_assert(sim::InplaceCallback::fits<decltype(flushed)>());
+        sim_->Schedule(0, std::move(flushed));
       }
       break;
     }
   }
+}
+
+void Device::OnPage(IoSlot* slot, std::uint32_t index, Status st,
+                    std::uint64_t token) {
+  const blocklayer::IoRequest& request = slot->request;
+  if (!st.ok() && slot->first_error.ok()) slot->first_error = st;
+  if (request.op == blocklayer::IoOp::kRead &&
+      index < slot->tokens.size()) {
+    slot->tokens[index] = token;
+  }
+  if (--slot->remaining > 0) return;
+  const SimTime latency = sim_->Now() - slot->start;
+  switch (request.op) {
+    case blocklayer::IoOp::kRead:
+      read_latency_.Record(latency);
+      if (metrics_ != nullptr) metrics_->Record(m_read_lat_, latency);
+      break;
+    case blocklayer::IoOp::kWrite:
+      write_latency_.Record(latency);
+      if (metrics_ != nullptr) metrics_->Record(m_write_lat_, latency);
+      break;
+    default:
+      break;
+  }
+  counters_.Increment("completions");
+  if (metrics_ != nullptr) metrics_->Increment(m_completions_);
+  // Completion routing: a multi-queue submitter stamps its software
+  // queue id on the callback; attribute the CQ post to that queue.
+  const std::uint16_t qid = request.on_complete.queue_id;
+  if (qid != blocklayer::IoCallback::kNoQueue) {
+    if (cq_posts_.size() <= qid) cq_posts_.resize(qid + 1, 0);
+    ++cq_posts_[qid];
+  }
+  if (slot->root && tracer_ != nullptr) {
+    tracer_->Record(trace::Stage::kIo, blocklayer::OriginOf(request.op),
+                    request.span, 0, dev_track_, slot->submit_t,
+                    sim_->Now(), request.lba);
+  }
+  FinishSlot(slot, blocklayer::IoResult{slot->first_error,
+                                        std::move(slot->tokens)});
+}
+
+void Device::FinishSlot(IoSlot* slot, blocklayer::IoResult result) {
+  blocklayer::IoCallback cb = std::move(slot->request.on_complete);
+  io_slots_.Release(slot);
+  if (cb) cb(result);
 }
 
 bool Device::Supports(host::CommandKind kind) const {
@@ -423,16 +432,14 @@ void Device::ExecuteAtomicGroup(host::Command cmd) {
     return;
   }
   counters_.Increment("atomic_groups");
-  // The FTL callback is a copyable std::function; box the move-only
-  // completion so the bridge stays copyable.
-  auto done = std::make_shared<blocklayer::IoCallback>(
-      std::move(cmd.on_complete));
-  page_ftl_->WriteAtomic(
-      std::move(cmd.group),
-      [done](Status st) {
-        if (*done) (*done)(blocklayer::IoResult{std::move(st), {}});
-      },
-      trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
+  IoSlot* slot = io_slots_.Acquire();
+  slot->request.on_complete = std::move(cmd.on_complete);
+  auto done = [this, slot](Status st) {
+    FinishSlot(slot, blocklayer::IoResult{std::move(st), {}});
+  };
+  static_assert(ftl::Ftl::WriteCallback::fits<decltype(done)>());
+  page_ftl_->WriteAtomic(std::move(cmd.group), std::move(done),
+                         trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
 }
 
 void Device::ExecuteNamelessWrite(host::Command cmd) {
@@ -445,18 +452,18 @@ void Device::ExecuteNamelessWrite(host::Command cmd) {
     const std::uint64_t token = cmd.tokens.empty() ? 0 : cmd.tokens[0];
     const Lba owner =
         cmd.nblocks == 0 ? flash::kNamelessLba : cmd.lba;
-    auto done = std::make_shared<blocklayer::IoCallback>(
-        std::move(cmd.on_complete));
+    IoSlot* slot = io_slots_.Acquire();
+    slot->request.on_complete = std::move(cmd.on_complete);
+    auto named = [this, slot](StatusOr<std::uint64_t> res) {
+      if (res.ok()) {
+        FinishSlot(slot, blocklayer::IoResult{Status::Ok(), {*res}});
+      } else {
+        FinishSlot(slot, blocklayer::IoResult{res.status(), {}});
+      }
+    };
+    static_assert(ftl::AppendFtl::NameCallback::fits<decltype(named)>());
     append_ftl_->NamelessWrite(
-        token, owner, cmd.nblocks, cmd.stream,
-        [done](StatusOr<std::uint64_t> res) {
-          if (!*done) return;
-          if (res.ok()) {
-            (*done)(blocklayer::IoResult{Status::Ok(), {*res}});
-          } else {
-            (*done)(blocklayer::IoResult{res.status(), {}});
-          }
-        },
+        token, owner, cmd.nblocks, cmd.stream, std::move(named),
         trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
     return;
   }
@@ -490,42 +497,40 @@ void Device::ExecuteNamelessWrite(host::Command cmd) {
   }
   counters_.Increment("nameless_writes");
   const std::uint64_t token = cmd.tokens.empty() ? 0 : cmd.tokens[0];
-  auto done = std::make_shared<blocklayer::IoCallback>(
-      std::move(cmd.on_complete));
-  page_ftl_->Write(
-      lba, token,
-      [this, done, lba](Status st) {
-        if (!st.ok()) {
-          nameless_free_.push_back(lba);
-          if (*done) (*done)(blocklayer::IoResult{std::move(st), {}});
-          return;
-        }
-        std::uint64_t name = 0;
-        if (auto ppa = page_ftl_->Locate(lba)) {
-          name = ppa->Flatten(config_.geometry);
-          auto old = slot_to_name_.find(lba);
-          if (old != slot_to_name_.end()) name_to_slot_.erase(old->second);
-          name_to_slot_[name] = lba;
-          slot_to_name_[lba] = name;
-        }
-        if (*done) {
-          (*done)(blocklayer::IoResult{Status::Ok(), {name}});
-        }
-      },
-      trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
+  IoSlot* slot = io_slots_.Acquire();
+  slot->request.on_complete = std::move(cmd.on_complete);
+  auto done = [this, slot, lba](Status st) {
+    if (!st.ok()) {
+      nameless_free_.push_back(lba);
+      FinishSlot(slot, blocklayer::IoResult{std::move(st), {}});
+      return;
+    }
+    std::uint64_t name = 0;
+    if (auto ppa = page_ftl_->Locate(lba)) {
+      name = ppa->Flatten(config_.geometry);
+      auto old = slot_to_name_.find(lba);
+      if (old != slot_to_name_.end()) name_to_slot_.erase(old->second);
+      name_to_slot_[name] = lba;
+      slot_to_name_[lba] = name;
+    }
+    FinishSlot(slot, blocklayer::IoResult{Status::Ok(), {name}});
+  };
+  static_assert(ftl::Ftl::WriteCallback::fits<decltype(done)>());
+  page_ftl_->Write(lba, token, std::move(done),
+                   trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
 }
 
 void Device::ExecuteNamelessRead(host::Command cmd) {
-  auto done = std::make_shared<blocklayer::IoCallback>(
-      std::move(cmd.on_complete));
-  auto complete = [done](StatusOr<std::uint64_t> res) {
-    if (!*done) return;
+  IoSlot* slot = io_slots_.Acquire();
+  slot->request.on_complete = std::move(cmd.on_complete);
+  auto complete = [this, slot](StatusOr<std::uint64_t> res) {
     if (res.ok()) {
-      (*done)(blocklayer::IoResult{Status::Ok(), {*res}});
+      FinishSlot(slot, blocklayer::IoResult{Status::Ok(), {*res}});
     } else {
-      (*done)(blocklayer::IoResult{res.status(), {}});
+      FinishSlot(slot, blocklayer::IoResult{res.status(), {}});
     }
   };
+  static_assert(ftl::Ftl::ReadCallback::fits<decltype(complete)>());
   if (append_ftl_ != nullptr) {
     counters_.Increment("nameless_reads");
     append_ftl_->NamelessRead(
@@ -545,8 +550,11 @@ void Device::ExecuteNamelessRead(host::Command cmd) {
   auto it = name_to_slot_.find(cmd.lba);
   if (it == name_to_slot_.end()) {
     const std::uint64_t epoch = epoch_;
-    sim_->Schedule(0, [this, epoch, complete]() {
-      if (epoch != epoch_) return;
+    sim_->Schedule(0, [this, epoch, slot, complete]() {
+      if (epoch != epoch_) {
+        io_slots_.Release(slot);
+        return;
+      }
       complete(Status::NotFound("stale name: page freed or migrated"));
     });
     return;
@@ -556,11 +564,12 @@ void Device::ExecuteNamelessRead(host::Command cmd) {
 }
 
 void Device::ExecuteNamelessFree(host::Command cmd) {
-  auto done = std::make_shared<blocklayer::IoCallback>(
-      std::move(cmd.on_complete));
-  auto complete = [done](Status st) {
-    if (*done) (*done)(blocklayer::IoResult{std::move(st), {}});
+  IoSlot* slot = io_slots_.Acquire();
+  slot->request.on_complete = std::move(cmd.on_complete);
+  auto complete = [this, slot](Status st) {
+    FinishSlot(slot, blocklayer::IoResult{std::move(st), {}});
   };
+  static_assert(ftl::Ftl::WriteCallback::fits<decltype(complete)>());
   if (append_ftl_ != nullptr) {
     counters_.Increment("nameless_frees");
     append_ftl_->NamelessFree(
@@ -580,19 +589,22 @@ void Device::ExecuteNamelessFree(host::Command cmd) {
   auto it = name_to_slot_.find(cmd.lba);
   if (it == name_to_slot_.end()) {
     const std::uint64_t epoch = epoch_;
-    sim_->Schedule(0, [this, epoch, complete]() {
-      if (epoch != epoch_) return;
+    sim_->Schedule(0, [this, epoch, slot, complete]() {
+      if (epoch != epoch_) {
+        io_slots_.Release(slot);
+        return;
+      }
       complete(Status::NotFound("stale name: page freed or migrated"));
     });
     return;
   }
-  const Lba slot = it->second;
+  const Lba name_slot = it->second;
   name_to_slot_.erase(it);
-  slot_to_name_.erase(slot);
+  slot_to_name_.erase(name_slot);
   page_ftl_->Trim(
-      slot,
-      [this, complete, slot](Status st) {
-        if (st.ok()) nameless_free_.push_back(slot);
+      name_slot,
+      [this, complete, name_slot](Status st) {
+        if (st.ok()) nameless_free_.push_back(name_slot);
         complete(std::move(st));
       },
       trace::Ctx{cmd.span, 0, trace::Origin::kHostTrim});

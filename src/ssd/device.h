@@ -14,6 +14,7 @@
 #include "ftl/ftl.h"
 #include "ftl/page_ftl.h"
 #include "metrics/metrics.h"
+#include "sim/object_pool.h"
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/controller.h"
@@ -118,11 +119,29 @@ class Device : public blocklayer::BlockDevice {
   Status PowerCycle();
 
  private:
-  /// `root` = this device minted the request's span (no layer above is
-  /// tracing), so it records the end-to-end kIo span; `submit_t` is when
-  /// Submit() saw the request (kIo start, before admission cost).
-  void SubmitPageOps(const std::shared_ptr<blocklayer::IoRequest>& req,
-                     bool root, SimTime submit_t);
+  /// One admitted host IO (or nameless command) and its page tracker,
+  /// in a device-owned pooled slot: page-op continuations capture only
+  /// {this, slot, page index}.
+  struct IoSlot {
+    blocklayer::IoRequest request;
+    std::uint64_t epoch = 0;
+    /// This device minted the request's span (no layer above is
+    /// tracing), so it records the end-to-end kIo span.
+    bool root = false;
+    SimTime submit_t = 0;  // when Submit() saw it (kIo start)
+    SimTime start = 0;     // when page ops fanned out
+    std::uint32_t remaining = 0;  // page ops not yet complete
+    Status first_error;
+    std::vector<std::uint64_t> tokens;  // read payloads, by page
+  };
+
+  /// Fans the admitted request out into page ops.
+  void SubmitPageOps(IoSlot* slot);
+  /// One page op of `slot` finished; the last one completes the IO.
+  void OnPage(IoSlot* slot, std::uint32_t index, Status st,
+              std::uint64_t token);
+  /// Recycles `slot`, then delivers `result` to its callback.
+  void FinishSlot(IoSlot* slot, blocklayer::IoResult result);
 
   /// Common admission path: validation, trace, then page-op fanout
   /// after controller_overhead_ns + admit_delay (the extra delay is the
@@ -154,6 +173,8 @@ class Device : public blocklayer::BlockDevice {
   ftl::PageFtl* page_ftl_ = nullptr;      // borrowed view into ftl_
   ftl::AppendFtl* append_ftl_ = nullptr;  // borrowed view into ftl_
   std::unique_ptr<WriteBuffer> write_buffer_;
+
+  sim::ObjectPool<IoSlot> io_slots_;
 
   Histogram read_latency_;
   Histogram write_latency_;

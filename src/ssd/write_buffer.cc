@@ -20,7 +20,7 @@ bool WriteBuffer::Lookup(Lba lba, std::uint64_t* token) const {
 }
 
 void WriteBuffer::SubmitWrite(Lba lba, std::uint64_t token,
-                              std::function<void(Status)> cb) {
+                              ftl::Ftl::WriteCallback cb) {
   auto it = entries_.find(lba);
   if (it != entries_.end()) {
     // Absorb: replace the buffered copy in place.
@@ -67,45 +67,51 @@ void WriteBuffer::PumpDrain() {
     const std::uint64_t token = it->second.token;
     ++inflight_drains_;
     counters_.Increment("drains");
-    ftl_->Write(lba, token, [this, lba, version](Status st) {
-      --inflight_drains_;
-      if (!st.ok()) counters_.Increment("drain_failures");
-      auto it = entries_.find(lba);
-      if (it != entries_.end() && it->second.version == version) {
-        if (st.ok()) {
-          // Not rewritten while draining: the buffered copy is durable.
-          entries_.erase(it);
-        } else if (!it->second.retried) {
-          // Keep the dirty data and try the flash once more (the FTL
-          // places retries on a fresh block, so a one-off media error
-          // is usually survivable).
-          it->second.retried = true;
-          it->second.draining = false;
-          it->second.queued = true;
-          drain_fifo_.push_back(lba);
-          counters_.Increment("drain_retries");
-        } else {
-          // Retry burned too: the page is lost. Surface the real
-          // status to flush waiters instead of a false Ok.
-          entries_.erase(it);
-          counters_.Increment("drain_drops");
-          if (drain_error_.ok()) drain_error_ = st;
-        }
-      } else if (it != entries_.end()) {
-        // Rewritten while draining; the newer version will drain on its
-        // own and supersedes this copy, failed or not.
-        it->second.draining = false;
-      }
-      // Freed space: admit a waiting insert.
-      if (!space_waiters_.empty() && entries_.size() < config_.pages) {
-        WaitingInsert w = std::move(space_waiters_.front());
-        space_waiters_.pop_front();
-        SubmitWrite(w.lba, w.token, std::move(w.cb));
-      }
-      PumpDrain();
-      CheckFlushWaiters();
-    });
+    auto drained = [this, lba, version](Status st) {
+      OnDrained(lba, version, std::move(st));
+    };
+    static_assert(ftl::Ftl::WriteCallback::fits<decltype(drained)>());
+    ftl_->Write(lba, token, std::move(drained));
   }
+}
+
+void WriteBuffer::OnDrained(Lba lba, std::uint64_t version, Status st) {
+  --inflight_drains_;
+  if (!st.ok()) counters_.Increment("drain_failures");
+  auto it = entries_.find(lba);
+  if (it != entries_.end() && it->second.version == version) {
+    if (st.ok()) {
+      // Not rewritten while draining: the buffered copy is durable.
+      entries_.erase(it);
+    } else if (!it->second.retried) {
+      // Keep the dirty data and try the flash once more (the FTL
+      // places retries on a fresh block, so a one-off media error
+      // is usually survivable).
+      it->second.retried = true;
+      it->second.draining = false;
+      it->second.queued = true;
+      drain_fifo_.push_back(lba);
+      counters_.Increment("drain_retries");
+    } else {
+      // Retry burned too: the page is lost. Surface the real
+      // status to flush waiters instead of a false Ok.
+      entries_.erase(it);
+      counters_.Increment("drain_drops");
+      if (drain_error_.ok()) drain_error_ = st;
+    }
+  } else if (it != entries_.end()) {
+    // Rewritten while draining; the newer version will drain on its
+    // own and supersedes this copy, failed or not.
+    it->second.draining = false;
+  }
+  // Freed space: admit a waiting insert.
+  if (!space_waiters_.empty() && entries_.size() < config_.pages) {
+    WaitingInsert w = std::move(space_waiters_.front());
+    space_waiters_.pop_front();
+    SubmitWrite(w.lba, w.token, std::move(w.cb));
+  }
+  PumpDrain();
+  CheckFlushWaiters();
 }
 
 void WriteBuffer::Drop(Lba lba) {
@@ -120,7 +126,7 @@ void WriteBuffer::Drop(Lba lba) {
   CheckFlushWaiters();
 }
 
-void WriteBuffer::Flush(std::function<void(Status)> cb) {
+void WriteBuffer::Flush(ftl::Ftl::WriteCallback cb) {
   if (empty() && inflight_drains_ == 0) {
     const Status st = drain_error_;
     drain_error_ = Status::Ok();

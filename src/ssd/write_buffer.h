@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <list>
 #include <unordered_map>
 #include <vector>
@@ -34,7 +33,7 @@ class WriteBuffer {
   /// Buffers one page write. Completes after `insert_ns` once space is
   /// available (overwrites of buffered LBAs absorb in place).
   void SubmitWrite(Lba lba, std::uint64_t token,
-                   std::function<void(Status)> cb);
+                   ftl::Ftl::WriteCallback cb);
 
   /// Read hit: newest buffered token for `lba`, if present.
   bool Lookup(Lba lba, std::uint64_t* token) const;
@@ -44,7 +43,7 @@ class WriteBuffer {
 
   /// Completes once every buffered page is durable on flash and no
   /// insert is waiting for space.
-  void Flush(std::function<void(Status)> cb);
+  void Flush(ftl::Ftl::WriteCallback cb);
 
   /// Power loss without battery: volatile contents vanish.
   void DiscardAll();
@@ -69,6 +68,8 @@ class WriteBuffer {
   };
 
   void PumpDrain();
+  /// A drain write of `version` of `lba` finished with `st`.
+  void OnDrained(Lba lba, std::uint64_t version, Status st);
   void CheckFlushWaiters();
 
   sim::Simulator* sim_;
@@ -84,10 +85,10 @@ class WriteBuffer {
   struct WaitingInsert {
     Lba lba;
     std::uint64_t token;
-    std::function<void(Status)> cb;
+    ftl::Ftl::WriteCallback cb;
   };
   std::deque<WaitingInsert> space_waiters_;
-  std::vector<std::function<void(Status)>> flush_waiters_;
+  std::vector<ftl::Ftl::WriteCallback> flush_waiters_;
   /// First drain failure that cost data (retry exhausted): delivered to
   /// the next flush batch instead of a false Ok, then cleared.
   Status drain_error_ = Status::Ok();

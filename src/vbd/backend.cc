@@ -56,7 +56,13 @@ StatusOr<Frontend*> Backend::CreateTenant(TenantConfig config) {
   }
   Tenant& t = tenants_[id];
   t.config = std::move(config);
-  if (t.config.name.empty()) t.config.name = "t" + std::to_string(id);
+  if (t.config.name.empty()) {
+    // Built piecewise: `"t" + std::to_string(id)` trips a false
+    // -Wrestrict in GCC 12's inlined string copy at -O3.
+    std::string name(1, 't');
+    name += std::to_string(id);
+    t.config.name = std::move(name);
+  }
   t.state = TenantState::kConnected;
   t.destroying = false;
   t.ever_written = false;

@@ -358,6 +358,7 @@ TEST_F(BTreeTest, ScanAcrossLeafBoundaries) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> rows;
   bool fired = false;
   tree_.Scan(0, ~0ull, [&](auto r) {
+    ASSERT_TRUE(r.ok());
     rows = std::move(*r);
     fired = true;
   });
@@ -373,6 +374,7 @@ TEST_F(BTreeTest, EmptyScan) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> rows{{1, 1}};
   bool fired = false;
   tree_.Scan(10, 20, [&](auto r) {
+    ASSERT_TRUE(r.ok());
     rows = std::move(*r);
     fired = true;
   });

@@ -1,7 +1,8 @@
-// Unit tests for InplaceCallback and its CallbackSlab fallback: inline
-// storage for small captures, move-only semantics, slab boxing for
-// oversized captures, and compile-time guards that the event core's
-// hot-path capture sizes keep fitting.
+// Unit tests for InplaceFunction (InplaceCallback is its void() form) and
+// its CallbackSlab fallback: inline storage for small captures, argument
+// and result forwarding, move-only semantics, slab boxing for oversized
+// captures, and compile-time guards that the event core's hot-path
+// capture sizes keep fitting.
 
 #include <array>
 #include <cstdint>
@@ -66,6 +67,19 @@ TEST(InplaceCallbackTest, MoveOnlyCaptureWorks) {
   ASSERT_TRUE(static_cast<bool>(moved));
   moved();
   EXPECT_EQ(result, 42);
+}
+
+TEST(InplaceCallbackTest, GeneralSignaturesForwardArgumentsAndResults) {
+  // The device path's continuations take move-only payloads by value
+  // (Status, StatusOr) and the callable may be invoked through a const
+  // reference, like std::function.
+  int base = 40;
+  const InplaceFunction<int(std::unique_ptr<int>)> add =
+      [&base](std::unique_ptr<int> v) { return base + *v; };
+  EXPECT_TRUE(add.stored_inline());
+  EXPECT_EQ(add(std::make_unique<int>(2)), 42);
+  InplaceFunction<int(std::unique_ptr<int>)> empty = nullptr;
+  EXPECT_FALSE(static_cast<bool>(empty));
 }
 
 TEST(InplaceCallbackTest, MoveAssignReleasesPreviousCallable) {
