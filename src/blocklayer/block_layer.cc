@@ -1,5 +1,6 @@
 #include "blocklayer/block_layer.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -245,20 +246,24 @@ void BlockLayer::FlushCq(std::uint32_t q) {
   pair.cq_flush_armed = false;
   if (pair.cq_ring.empty()) return;
   counters_.Increment("cq_flushes");
-  std::vector<IoState*> batch;
-  batch.swap(pair.cq_ring);
+  std::vector<IoState*>* batch = cq_batches_.Acquire();
+  batch->swap(pair.cq_ring);
   // One completion-CPU charge (the coalesced interrupt, or one poll
   // reap) covers the whole batch; each IO then finishes individually.
   const SimTime cost = config_.interrupt_completion
                            ? config_.cpu.interrupt_ns
                            : config_.cpu.polled_ns;
-  cpu_.UseFor(cost, [this, q, batch = std::move(batch)] {
-    for (IoState* st : batch) FinishIo(st);
+  auto drain = [this, q, batch] {
+    for (IoState* st : *batch) FinishIo(st);
+    batch->clear();
+    cq_batches_.Recycle(batch);
     // The drained completions freed device slots (accounted at device
     // completion); now that the host has processed the ring, refill
     // them in one go — a deep refill is what fills a doorbell batch.
     DispatchEntry(q);
-  });
+  };
+  static_assert(sim::InplaceCallback::fits<decltype(drain)>());
+  cpu_.UseFor(cost, drain);
 }
 
 void BlockLayer::FinishIo(IoState* st) {
@@ -430,6 +435,8 @@ void BlockLayer::Dispatch(std::uint32_t q) {
   while (pair.outstanding < config_.queue_depth &&
          !pair.scheduler->empty()) {
     std::vector<IoRequest> batch;
+    batch.reserve(std::min<std::size_t>(
+        config_.doorbell_batch, config_.queue_depth - pair.outstanding));
     while (pair.outstanding < config_.queue_depth &&
            !pair.scheduler->empty() &&
            batch.size() < config_.doorbell_batch) {

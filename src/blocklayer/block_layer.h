@@ -14,6 +14,7 @@
 #include "common/stats.h"
 #include "host/tag_set.h"
 #include "metrics/metrics.h"
+#include "sim/object_pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
@@ -209,7 +210,8 @@ class BlockLayer : public BlockDevice {
     /// Requests parked on tag exhaustion (fixed tag sets only).
     std::deque<IoRequest> waiters;
     /// Completion ring: device completions awaiting the coalesced
-    /// completion-CPU charge.
+    /// completion-CPU charge. A flush swaps its entries into a pooled
+    /// batch buffer (cq_batches_), so both keep their capacity.
     std::vector<IoState*> cq_ring;
     bool cq_flush_armed = false;
     std::uint64_t cq_gen = 0;  // invalidates armed flush timers
@@ -242,6 +244,10 @@ class BlockLayer : public BlockDevice {
   BlockLayerConfig config_;
   sim::Resource cpu_;
   std::vector<QueuePair> queues_;
+  /// Flushed completion rings waiting for their CPU charge; recycled
+  /// with their capacity, so coalesced completion allocates nothing in
+  /// steady state.
+  sim::ObjectPool<std::vector<IoState*>> cq_batches_;
   std::uint64_t rr_ = 0;  // submission queue choice (models per-core)
   std::uint64_t epoch_ = 0;
   // Shared-depth DRR arbitration state (shared_depth > 0 only).

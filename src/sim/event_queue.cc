@@ -10,72 +10,116 @@ namespace postblock::sim {
 EventQueue::EventQueue() = default;
 
 /// Canonical placement: the finest level whose block (the bits above the
-/// level's slot index) contains both `e.when` and the wheel position.
-/// Events past the coarsest level's block go to the overflow map.
-void EventQueue::Place(Entry e) {
-  for (int level = 0; level < kLevels; ++level) {
-    if (HighBits(e.when, level) == HighBits(cur_, level)) {
-      const unsigned idx = static_cast<unsigned>(
-          (e.when >> (kSlotBits * level)) & kSlotMask);
-      std::vector<Entry>& slot = slots_[level][idx];
-      if (slot.capacity() == 0 && !spare_.empty()) {
-        slot.swap(spare_.back());
-        spare_.pop_back();
-      }
-      slot.push_back(std::move(e));
-      occupied_[level] |= 1ull << idx;
-      return;
-    }
+/// level's slot index) contains both `k.when` and the wheel position,
+/// found with one bit-scan of their difference. Level 0 is the run;
+/// events past the coarsest level's block go to the overflow map.
+/// Requires k.when >= cur_.
+void EventQueue::Place(const Key& k) {
+  const std::uint64_t diff = k.when ^ cur_;
+  if (diff < kSlots) {
+    InsertIntoRun(k);
+    return;
   }
-  overflow_[e.when].push_back(std::move(e));
+  const int level = (63 - std::countl_zero(diff)) / kSlotBits;
+  if (level >= kLevels) {
+    overflow_[k.when].push_back(k);
+    return;
+  }
+  const unsigned idx =
+      static_cast<unsigned>((k.when >> (kSlotBits * level)) & kSlotMask);
+  std::vector<Key>& slot = WheelSlot(level, idx);
+  if (slot.capacity() == 0 && !spare_.empty()) {
+    slot.swap(spare_.back());
+    spare_.pop_back();
+  }
+  slot.push_back(k);
+  Occupied(level) |= 1ull << idx;
 }
 
-/// Moves every entry of a slot that covers cur_ down at least one level.
-/// Only covering slots are ever cascaded, so re-placement can never
-/// target the vector being iterated.
-void EventQueue::CascadeSlot(int level, unsigned idx) {
-  auto& v = slots_[level][idx];
-  occupied_[level] &= ~(1ull << idx);
-  for (Entry& e : v) Place(std::move(e));
-  // A coarse slot is next needed only when the wheel comes round again
-  // (up to ~69 simulated seconds away at the top level): hand its buffer
-  // to the next slot that fills up instead, so slots first reached late
-  // in a run reuse capacity rather than allocate.
-  v.clear();
+/// A push into the block being drained carries the largest seq so far,
+/// so it goes after every pending key with when <= k.when. That is an
+/// append unless an earlier-timestamped push arrives behind later ones;
+/// then the shorter side moves by one key — the already-popped prefix
+/// gives the front side room, so a zero-delay chain ahead of a long
+/// tail of pending keys stays O(1) per push.
+void EventQueue::InsertIntoRun(const Key& k) {
+  if (run_pos_ == run_.size() || run_.back().when <= k.when) {
+    run_.push_back(k);
+    return;
+  }
+  const auto first = run_.begin() + static_cast<std::ptrdiff_t>(run_pos_);
+  const auto pos = std::upper_bound(
+      first, run_.end(), k.when,
+      [](SimTime t, const Key& e) { return t < e.when; });
+  if (run_pos_ > 0 && pos - first < run_.end() - pos) {
+    std::move(first, pos, first - 1);
+    *(pos - 1) = k;
+    --run_pos_;
+  } else {
+    run_.insert(pos, k);
+  }
+}
+
+/// Moves the wheel position to `t`, the base of slot `idx` at `level`,
+/// the finest nonempty level, and fills the run with the keys of t's
+/// 64 ns block. Only the run is empty when this happens, and this slot
+/// is the only occupied one covering `t`: the finer levels are empty,
+/// and the coarser covering slots are the old position's, which Place
+/// never targets. Its keys for the block are appended to the run and
+/// the rest move one or more levels down (never into a covering slot,
+/// so never into the vector being iterated); the run is then sorted
+/// once.
+void EventQueue::EnterBlock(SimTime t, int level, unsigned idx) {
+  assert(run_.empty());
+  assert(OnlyCoveringSlot(t, level));
+  cur_ = t;
+  std::vector<Key>& slot = WheelSlot(level, idx);
+  Occupied(level) &= ~(1ull << idx);
+  for (const Key& k : slot) {
+    if ((k.when ^ cur_) < kSlots) {
+      run_.push_back(k);
+    } else {
+      Place(k);
+    }
+  }
+  // The slot is next needed only when the wheel comes round again (up
+  // to ~69 simulated seconds away at the top level): hand its buffer to
+  // the next slot that fills up instead, so slots first reached late in
+  // a run reuse capacity rather than allocate. The run keeps its own
+  // buffer, so every buffer grows only to its own high-water mark.
+  slot.clear();
   spare_.emplace_back();
-  spare_.back().swap(v);
+  spare_.back().swap(slot);
+  if (!std::is_sorted(run_.begin(), run_.end(), Before)) {
+    std::sort(run_.begin(), run_.end(), Before);
+  }
+}
+
+bool EventQueue::OnlyCoveringSlot(SimTime t, int level) const {
+  for (int l = 1; l < kLevels; ++l) {
+    const unsigned i =
+        static_cast<unsigned>((t >> (kSlotBits * l)) & kSlotMask);
+    if (l != level && (occupied_[l - 1] & (1ull << i)) != 0) return false;
+  }
+  return true;
 }
 
 /// Feeds the earliest overflow block into the (empty) wheel. The wheel
 /// position's top-level block only ever changes here, which is what
 /// keeps overflow entries from interleaving wrongly with wheel entries.
+/// The map iterates in (when, push order), so keys reaching the run
+/// arrive sorted.
 void EventQueue::PullOverflowBlock() {
   assert(!overflow_.empty());
   auto it = overflow_.begin();
-  const std::uint64_t block = HighBits(it->first, kLevels - 1);
-  const SimTime block_base = block << (kSlotBits * kLevels);
+  constexpr int kTopShift = kSlotBits * kLevels;
+  const std::uint64_t block = it->first >> kTopShift;
+  const SimTime block_base = block << kTopShift;
   if (cur_ < block_base) cur_ = block_base;
-  while (it != overflow_.end() &&
-         HighBits(it->first, kLevels - 1) == block) {
-    for (Entry& e : it->second) Place(std::move(e));
+  while (it != overflow_.end() && (it->first >> kTopShift) == block) {
+    for (const Key& k : it->second) Place(k);
     it = overflow_.erase(it);
   }
-}
-
-/// Entries in one level-0 slot all share a timestamp (1 ns tick), but
-/// cascading can append an early-pushed far-scheduled event behind a
-/// later-pushed near-scheduled one. Restore seq order once per slot
-/// drain; events appended afterwards carry larger seqs and stay sorted.
-void EventQueue::EnsureDrainSlotSorted(std::vector<Entry>& slot) {
-  if (sorted_slot_time_ == cur_) return;
-  assert(drain_pos_ == 0);
-  const auto by_seq = [](const Entry& a, const Entry& b) {
-    return a.seq < b.seq;
-  };
-  if (!std::is_sorted(slot.begin(), slot.end(), by_seq)) {
-    std::sort(slot.begin(), slot.end(), by_seq);
-  }
-  sorted_slot_time_ = cur_;
 }
 
 /// Shared search core. Walks the wheel toward the earliest pending
@@ -86,47 +130,30 @@ void EventQueue::EnsureDrainSlotSorted(std::vector<Entry>& slot) {
 /// to a far-future event. Requires size_ > 0.
 bool EventQueue::AdvanceWithin(SimTime bound, SimTime* when) {
   for (;;) {
-    // 1) Cascade occupied slots covering cur_, coarsest first, so every
-    //    event due in cur_'s level-0 block is actually at level 0. New
-    //    pushes can never land in a covering slot (Place resolves them
-    //    to a finer level), so one pass per level-0 block suffices.
-    if ((cur_ >> kSlotBits) != cascaded_block_) {
-      for (int level = kLevels - 1; level >= 1; --level) {
-        const unsigned idx = static_cast<unsigned>(
-            (cur_ >> (kSlotBits * level)) & kSlotMask);
-        if (occupied_[level] & (1ull << idx)) CascadeSlot(level, idx);
-      }
-      cascaded_block_ = cur_ >> kSlotBits;
-    }
-    if (occupied_[0] != 0) {
-      // Earliest pending event: all level-0 entries live in cur_'s
-      // 64 ns block at slot (when & 63), so the lowest set bit is it.
-      const unsigned idx =
-          static_cast<unsigned>(std::countr_zero(occupied_[0]));
-      const SimTime t = (cur_ & ~kSlotMask) | idx;
+    // 1) The run holds the current block's keys in pop order, and every
+    //    key elsewhere is later, so its head is the earliest event.
+    if (run_pos_ < run_.size()) {
+      const SimTime t = run_[run_pos_].when;
       assert(t >= cur_);
       if (t > bound) return false;
       cur_ = t;
-      EnsureDrainSlotSorted(slots_[0][idx]);
       *when = t;
       return true;
     }
-    // 2) Jump to the earliest future slot of the finest nonempty level
-    //    (finer levels always precede coarser ones in time); the next
-    //    pass cascades it as a covering slot. The slot base is a lower
-    //    bound on every event in it, so a base past `bound` proves
-    //    nothing is due.
+    // 2) Enter the earliest occupied slot of the finest nonempty level
+    //    (finer levels always precede coarser ones in time). The slot
+    //    base is a lower bound on every event in it, so a base past
+    //    `bound` proves nothing is due.
     bool advanced = false;
     for (int level = 1; level < kLevels; ++level) {
-      if (occupied_[level] == 0) continue;
-      const unsigned idx =
-          static_cast<unsigned>(std::countr_zero(occupied_[level]));
-      const SimTime block_base = HighBits(cur_, level)
-                                 << (kSlotBits * (level + 1));
-      const SimTime target =
-          block_base + (SimTime{idx} << (kSlotBits * level));
+      const std::uint64_t occ = Occupied(level);
+      if (occ == 0) continue;
+      const unsigned idx = static_cast<unsigned>(std::countr_zero(occ));
+      const int shift = kSlotBits * (level + 1);
+      const SimTime target = ((cur_ >> shift) << shift) +
+                             (SimTime{idx} << (kSlotBits * level));
       if (target > bound) return false;
-      cur_ = target;
+      EnterBlock(target, level, idx);
       advanced = true;
       break;
     }
@@ -138,7 +165,7 @@ bool EventQueue::AdvanceWithin(SimTime bound, SimTime* when) {
   }
 }
 
-SimTime EventQueue::NextTime() {
+SimTime EventQueue::WalkToNext() {
   assert(size_ > 0);
   SimTime t = 0;
   const bool found = AdvanceWithin(~SimTime{0}, &t);
@@ -155,41 +182,24 @@ bool EventQueue::HasEventAtOrBefore(SimTime bound) {
 
 SimTime EventQueue::MinPendingTime() const {
   assert(size_ > 0);
+  if (run_pos_ < run_.size()) return run_[run_pos_].when;
   // Place() keeps a strict time hierarchy regardless of cascade state:
-  // entries at level L live inside cur_'s level-L block but outside its
-  // level-(L-1) block, so every entry at a finer level precedes every
-  // entry at a coarser one, and the whole wheel precedes the overflow
-  // map. Within one level, slots are time-ordered and each slot's span
-  // ends before the next occupied slot begins — so the global minimum
-  // is in the earliest occupied slot of the finest occupied level.
-  for (int level = 0; level < kLevels; ++level) {
-    if (occupied_[level] == 0) continue;
-    const unsigned idx =
-        static_cast<unsigned>(std::countr_zero(occupied_[level]));
-    if (level == 0) {
-      // Level-0 entries in one slot share the 1 ns tick — exact.
-      return (cur_ & ~kSlotMask) | idx;
-    }
-    const auto& slot = slots_[level][idx];
+  // keys at level L live inside cur_'s level-L block but outside its
+  // level-(L-1) block, so every key at a finer level precedes every key
+  // at a coarser one, and the whole wheel precedes the overflow map.
+  // Within one level, slots are time-ordered and each slot's span ends
+  // before the next occupied slot begins — so the global minimum is in
+  // the earliest occupied slot of the finest occupied level.
+  for (int level = 1; level < kLevels; ++level) {
+    const std::uint64_t occ = occupied_[level - 1];
+    if (occ == 0) continue;
+    const auto& slot =
+        wheel_[level - 1][static_cast<unsigned>(std::countr_zero(occ))];
     SimTime m = ~SimTime{0};
-    for (const Entry& e : slot) m = std::min(m, e.when);
+    for (const Key& k : slot) m = std::min(m, k.when);
     return m;
   }
   return overflow_.begin()->first;
-}
-
-EventQueue::Callback EventQueue::Pop() {
-  const SimTime t = NextTime();
-  auto& slot = slots_[0][t & kSlotMask];
-  Callback cb = std::move(slot[drain_pos_].cb);
-  ++drain_pos_;
-  if (drain_pos_ == slot.size()) {
-    slot.clear();  // entries already moved-from; capacity retained
-    drain_pos_ = 0;
-    occupied_[0] &= ~(1ull << (t & kSlotMask));
-  }
-  --size_;
-  return cb;
 }
 
 }  // namespace postblock::sim

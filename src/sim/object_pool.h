@@ -39,6 +39,11 @@ class ObjectPool {
     free_.push_back(p);
   }
 
+  /// Returns `p` to the free list as it is, for records the caller has
+  /// already emptied but whose resources are worth keeping: a cleared
+  /// vector keeps its capacity, where Release would drop it.
+  void Recycle(T* p) { free_.push_back(p); }
+
   /// Recycles every record at once — for owners whose in-flight ops all
   /// died together (power loss) and will never touch their records.
   void ReleaseAll() {

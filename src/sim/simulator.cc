@@ -4,6 +4,9 @@ namespace postblock::sim {
 
 bool Simulator::Step() {
   if (queue_.empty()) return false;
+  // NextTime walks the wheel to the earliest event and commits to it;
+  // Pop then takes that event from the head of the run without a
+  // second walk.
   now_ = queue_.NextTime();
   auto cb = queue_.Pop();
   ++events_executed_;
@@ -39,14 +42,6 @@ SimTime Simulator::RunUntil(SimTime deadline) {
   }
   if (now_ < deadline) now_ = deadline;
   return now_;
-}
-
-bool Simulator::RunUntilPredicate(const std::function<bool()>& pred) {
-  if (pred()) return true;
-  while (Step()) {
-    if (pred()) return true;
-  }
-  return false;
 }
 
 }  // namespace postblock::sim

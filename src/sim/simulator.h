@@ -3,7 +3,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 
 #include "common/types.h"
 #include "sim/event_queue.h"
@@ -62,7 +61,15 @@ class Simulator {
 
   /// Runs until `pred()` becomes true (checked after each event) or the
   /// queue drains. Returns true iff the predicate was satisfied.
-  bool RunUntilPredicate(const std::function<bool()>& pred);
+  /// Templated so the per-event check is a direct (inlinable) call.
+  template <typename Pred>
+  bool RunUntilPredicate(Pred&& pred) {
+    if (pred()) return true;
+    while (Step()) {
+      if (pred()) return true;
+    }
+    return false;
+  }
 
   /// Executes at most one pending event. Returns false if none pending.
   bool Step();
