@@ -33,6 +33,8 @@ struct Row {
   std::uint64_t events = 0;
   std::uint64_t messages = 0;
   std::uint64_t rounds = 0;
+  std::uint64_t inline_windows = 0;
+  std::uint64_t pooled_windows = 0;
   double seconds = 0;
   std::uint64_t fingerprint = 0;
   SimTime sim_end_ns = 0;
@@ -74,6 +76,8 @@ Row RunOnce(std::uint32_t workers, std::uint64_t ios) {
   row.events = sim.engine()->events_executed();
   row.messages = sim.engine()->messages_delivered();
   row.rounds = sim.engine()->rounds();
+  row.inline_windows = sim.engine()->inline_windows();
+  row.pooled_windows = sim.engine()->pooled_windows();
   row.seconds = std::chrono::duration<double>(t1 - t0).count();
   row.fingerprint = sim.CombinedFingerprint();
   row.sim_end_ns = end;
@@ -99,9 +103,10 @@ int Main() {
     RunOnce(w, kIos / 10);
     Row row = RunOnce(w, kIos);
     std::printf("  workers=%u: %8.2fM ev/s  (%" PRIu64 " events, %" PRIu64
-                " seam msgs, %" PRIu64 " rounds, WA %.2f, %.3fs)\n",
+                " seam msgs, %" PRIu64 " rounds: %" PRIu64 " inline, %" PRIu64
+                " pooled, WA %.2f, %.3fs)\n",
                 w, row.eps() / 1e6, row.events, row.messages, row.rounds,
-                row.wa, row.seconds);
+                row.inline_windows, row.pooled_windows, row.wa, row.seconds);
     rows.push_back(row);
   }
 
@@ -116,13 +121,16 @@ int Main() {
     }
   }
 
-  const double speedup_4w =
-      seq.seconds > 0 && rows.back().seconds > 0
-          ? seq.seconds / rows.back().seconds
-          : 0;
+  // rows[i] ran at worker_counts[i]: speedup at 1, 2 and 4 workers.
+  const auto speedup = [&seq](const Row& r) {
+    return seq.seconds > 0 && r.seconds > 0 ? seq.seconds / r.seconds : 0;
+  };
+  const double speedup_4w = speedup(rows[3]);
   std::printf("\ndeterminism: %s\n",
               determinism_ok ? "all worker counts byte-identical"
                              : "MISMATCH");
+  std::printf("speedup vs sequential: 1 worker %.2fx, 2 workers %.2fx\n",
+              speedup(rows[1]), speedup(rows[2]));
   std::printf("speedup at 4 workers vs sequential: %.2fx%s\n", speedup_4w,
               hw < 4 ? "  (machine has <4 hardware threads; floor not "
                        "meaningful here)"
@@ -141,14 +149,19 @@ int Main() {
                  "  \"workers%u\": {\"events\": %" PRIu64
                  ", \"eps\": %.0f, \"seconds\": %.6f, \"seam_messages\": "
                  "%" PRIu64 ", \"rounds\": %" PRIu64
+                 ", \"inline_windows\": %" PRIu64
+                 ", \"pooled_windows\": %" PRIu64
                  ", \"write_amplification\": %.4f, \"fingerprint\": "
                  "\"%016" PRIx64 "\", \"sim_end_ns\": %" PRIu64 "},\n",
                  r.workers, r.events, r.eps(), r.seconds, r.messages,
-                 r.rounds, r.wa, r.fingerprint,
+                 r.rounds, r.inline_windows, r.pooled_windows, r.wa,
+                 r.fingerprint,
                  static_cast<std::uint64_t>(r.sim_end_ns));
   }
   std::fprintf(f, "  \"determinism_ok\": %s,\n",
                determinism_ok ? "true" : "false");
+  std::fprintf(f, "  \"speedup_1w\": %.3f,\n", speedup(rows[1]));
+  std::fprintf(f, "  \"speedup_2w\": %.3f,\n", speedup(rows[2]));
   std::fprintf(f, "  \"speedup_4w\": %.3f\n", speedup_4w);
   std::fprintf(f, "}\n");
   std::fclose(f);

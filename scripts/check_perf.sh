@@ -73,10 +73,17 @@
 #      with the vision device's translation state smaller than the
 #      classic L2P. All sim-time observables — exact, no retry.
 #
-# Wall-clock gates (2, 3, 4, 5, 9) are measured numbers and therefore
+# Wall-clock gates (1, 2, 3, 4, 5, 9) are measured numbers and therefore
 # retried best-of-3 (gate_with_retry): a failed attempt re-runs the
 # bench before declaring a regression. Determinism bits and sim-time
 # comparisons are exact and never benefit from a retry.
+#
+# Every gate runs even when an earlier one fails, and so does every
+# bench. A bench that exits non-zero fails its gate without a retry,
+# and each bench's JSON is removed before it runs, so a gate never
+# reads a file left by an earlier run. The script ends with one
+# PASS/FAIL/SKIP line per gate and exits 1 if any gate failed. SKIP is
+# a first run that bootstrapped a baseline.
 #
 # Usage: scripts/check_perf.sh [build-dir]     (default: build-perf)
 set -euo pipefail
@@ -92,16 +99,34 @@ cmake --build "$BUILD_DIR" --target bench_sim_core bench_trace_overhead \
   bench_vbd bench_obs bench_sharded_device bench_crossover \
   -j "$(nproc)" >/dev/null
 
-( cd "$BUILD_DIR" && ./bench/bench_sim_core )
-( cd "$BUILD_DIR" && ./bench/bench_trace_overhead )
-( cd "$BUILD_DIR" && ./bench/bench_metrics_overhead )
-( cd "$BUILD_DIR" && ./bench/bench_reliability )
-( cd "$BUILD_DIR" && ./bench/bench_mq )
-( cd "$BUILD_DIR" && ./bench/bench_parallel )
-( cd "$BUILD_DIR" && ./bench/bench_vbd )
-( cd "$BUILD_DIR" && ./bench/bench_obs )
-( cd "$BUILD_DIR" && ./bench/bench_sharded_device )
-( cd "$BUILD_DIR" && ./bench/bench_crossover )
+# Each bench's exit status, by binary name. bench_foo writes
+# BENCH_foo.json; the old file goes first, so a bench that dies before
+# writing leaves nothing for its gate to read.
+declare -A BENCH_RC=()
+run_bench() {
+  local rc=0
+  rm -f "$BUILD_DIR/BENCH_${1#bench_}.json"
+  ( cd "$BUILD_DIR" && "./bench/$1" ) || rc=$?
+  BENCH_RC[$1]=$rc
+  if [ "$rc" -ne 0 ]; then
+    echo "check_perf: $1 exited $rc"
+  fi
+}
+bench_exited_ok() {  # $1 = bench binary
+  if [ "${BENCH_RC[$1]}" -ne 0 ]; then
+    echo "check_perf: FAIL ($1 exited ${BENCH_RC[$1]})"
+    return 1
+  fi
+}
+checked() {  # $1 = bench binary, $2 = check function; no retry
+  bench_exited_ok "$1" && "$2"
+}
+
+for bench in bench_sim_core bench_trace_overhead bench_metrics_overhead \
+    bench_reliability bench_mq bench_parallel bench_vbd bench_obs \
+    bench_sharded_device bench_crossover; do
+  run_bench "$bench"
+done
 RESULT="$BUILD_DIR/BENCH_sim_core.json"
 TRACE_RESULT="$BUILD_DIR/BENCH_trace_overhead.json"
 METRICS_RESULT="$BUILD_DIR/BENCH_metrics_overhead.json"
@@ -114,12 +139,22 @@ OBS_RESULT="$BUILD_DIR/BENCH_obs.json"
 SHARDED_DEVICE_RESULT="$BUILD_DIR/BENCH_sharded_device.json"
 CROSSOVER_RESULT="$BUILD_DIR/BENCH_crossover.json"
 
-if [ ! -f "$BASELINE" ]; then
-  mkdir -p "$(dirname "$BASELINE")"
-  cp "$RESULT" "$BASELINE"
-  echo "check_perf: no baseline found; recorded $BASELINE from this run."
-  exit 0
-fi
+# One summary line per gate, printed at the end.
+GATE_LINES=()
+GATES_FAILED=0
+run_gate() {  # $1 = gate number, $2 = title, rest = the check command
+  local num="$1" title="$2"
+  shift 2
+  if "$@"; then
+    GATE_LINES+=("gate $num PASS  $title")
+  else
+    GATE_LINES+=("gate $num FAIL  $title")
+    GATES_FAILED=$((GATES_FAILED + 1))
+  fi
+}
+skip_gate() {  # $1 = gate number, $2 = title, $3 = why
+  GATE_LINES+=("gate $1 SKIP  $2 ($3)")
+}
 
 # Best-of-N for wall-clock gates: speedup ratios and overhead
 # percentages are measured numbers, so a transient load spike on a
@@ -127,31 +162,33 @@ fi
 # Re-measure (fresh bench run) before declaring a regression — a real
 # regression fails every attempt, a background-load spike doesn't.
 # Determinism bits are not load-dependent; a retry can't launder those
-# (they fail all attempts identically).
+# (they fail all attempts identically). Nor is a bench's non-zero exit:
+# that fails the gate at once.
 GATE_ATTEMPTS=3
 gate_with_retry() {  # $1 = bench binary to re-run, $2 = check function
   local attempt=1
-  while ! "$2"; do
+  while ! checked "$1" "$2"; do
+    if [ "${BENCH_RC[$1]}" -ne 0 ]; then
+      return 1
+    fi
     if [ "$attempt" -ge "$GATE_ATTEMPTS" ]; then
       echo "check_perf: FAIL ($1 gate failed on all $GATE_ATTEMPTS" \
            "attempts — a real regression, not load)"
-      exit 1
+      return 1
     fi
     attempt=$((attempt + 1))
     echo "check_perf: re-measuring $1 (attempt $attempt of" \
          "$GATE_ATTEMPTS; transient container load?)"
-    ( cd "$BUILD_DIR" && "./bench/$1" )
+    run_bench "$1"
   done
 }
 
-check_sim_core() {
-  python3 - "$RESULT" "$BASELINE" "$TOLERANCE" <<'EOF'
+check_sim_core_floors() {
+  python3 - "$RESULT" <<'EOF'
 import json
 import sys
 
-result_path, baseline_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
-result = json.load(open(result_path))
-baseline = json.load(open(baseline_path))
+result = json.load(open(sys.argv[1]))
 failures = []
 
 # Hard floors from the event-core rework (ISSUE acceptance criteria).
@@ -164,6 +201,27 @@ if pp.get("wheel_allocs_per_event", 1.0) >= 0.005:
     failures.append(
         f"pingpong wheel allocs/event {pp.get('wheel_allocs_per_event')} "
         "not ~0 (steady state must not allocate)")
+
+if failures:
+    print("check_perf: sim_core floors not met this attempt")
+    for f in failures:
+        print(f"  - {f}")
+    sys.exit(1)
+print("check_perf: OK (sim_core floors met)")
+EOF
+}
+run_gate 1 "event-core floors (pingpong >= 3x, 0 allocs/event)" \
+  gate_with_retry bench_sim_core check_sim_core_floors
+
+check_sim_core_baseline() {
+  python3 - "$RESULT" "$BASELINE" "$TOLERANCE" <<'EOF'
+import json
+import sys
+
+result_path, baseline_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
+result = json.load(open(result_path))
+baseline = json.load(open(baseline_path))
+failures = []
 
 # Regression vs recorded baseline, +-15% on the *same-run* speedup
 # (wheel_eps / reference_eps, both measured in one process). Absolute
@@ -197,10 +255,19 @@ if failures:
     for f in failures:
         print(f"  - {f}")
     sys.exit(1)
-print("check_perf: OK (within tolerance of baseline, floors met)")
+print("check_perf: OK (within tolerance of baseline)")
 EOF
 }
-gate_with_retry bench_sim_core check_sim_core
+if [ ! -f "$BASELINE" ] && [ -f "$RESULT" ] &&
+    [ "${BENCH_RC[bench_sim_core]}" -eq 0 ]; then
+  mkdir -p "$(dirname "$BASELINE")"
+  cp "$RESULT" "$BASELINE"
+  echo "check_perf: no baseline found; recorded $BASELINE from this run."
+  skip_gate 2 "event-core speedup vs baseline" "baseline recorded"
+else
+  run_gate 2 "event-core speedup vs baseline (+-15%)" \
+    gate_with_retry bench_sim_core check_sim_core_baseline
+fi
 
 check_trace() {
   python3 - "$TRACE_RESULT" <<'EOF'
@@ -227,7 +294,8 @@ print(f"check_perf: OK (disabled-tracer overhead {ovh:.1%} <= 2%, "
       "schedule unperturbed)")
 EOF
 }
-gate_with_retry bench_trace_overhead check_trace
+run_gate 3 "disabled tracer <= 2%, schedule unperturbed" \
+  gate_with_retry bench_trace_overhead check_trace
 
 check_metrics() {
   python3 - "$METRICS_RESULT" <<'EOF'
@@ -257,7 +325,8 @@ print(f"check_perf: OK (attached-registry overhead {ovh:.1%} <= 2%, "
       "device schedule unperturbed, Counters cross-check exact)")
 EOF
 }
-gate_with_retry bench_metrics_overhead check_metrics
+run_gate 4 "attached registry <= 2%, Counters cross-check" \
+  gate_with_retry bench_metrics_overhead check_metrics
 
 check_reliability() {
   python3 - "$RELIABILITY_RESULT" <<'EOF'
@@ -288,14 +357,11 @@ print(f"check_perf: OK (silent-injector overhead {ovh:.1%} <= 1%, "
       "schedule unperturbed)")
 EOF
 }
-gate_with_retry bench_reliability check_reliability
+run_gate 5 "silent injector <= 1%, schedule unperturbed" \
+  gate_with_retry bench_reliability check_reliability
 
-if [ ! -f "$MQ_BASELINE" ]; then
-  mkdir -p "$(dirname "$MQ_BASELINE")"
-  cp "$MQ_RESULT" "$MQ_BASELINE"
-  echo "check_perf: no mq baseline found; recorded $MQ_BASELINE from this run."
-else
-python3 - "$MQ_RESULT" "$MQ_BASELINE" <<'EOF'
+check_mq() {
+  python3 - "$MQ_RESULT" "$MQ_BASELINE" <<'EOF'
 import json
 import sys
 
@@ -343,9 +409,20 @@ print(f"check_perf: OK (mq: schedule identical, 1-queue IOPS "
       f"{cur_iops:.0f} within 2% of baseline, 4-queue speedup "
       f"{speedup:.2f}x >= 2x, allocs/IO ~0)")
 EOF
+}
+if [ ! -f "$MQ_BASELINE" ] && [ -f "$MQ_RESULT" ] &&
+    [ "${BENCH_RC[bench_mq]}" -eq 0 ]; then
+  mkdir -p "$(dirname "$MQ_BASELINE")"
+  cp "$MQ_RESULT" "$MQ_BASELINE"
+  echo "check_perf: no mq baseline found; recorded $MQ_BASELINE from this run."
+  skip_gate 6 "multi-queue host path" "baseline recorded"
+else
+  run_gate 6 "multi-queue host path (neutral, 1-queue IOPS, 4q >= 2x)" \
+    checked bench_mq check_mq
 fi
 
-python3 - "$PARALLEL_RESULT" <<'EOF'
+check_parallel() {
+  python3 - "$PARALLEL_RESULT" <<'EOF'
 import json
 import sys
 
@@ -388,8 +465,12 @@ if failures:
 print("check_perf: OK (sharded cores byte-identical at every worker "
       f"count; {note})")
 EOF
+}
+run_gate 7 "sharded cores: determinism at 1/2/4 workers, 4 workers >= 1.6x" \
+  checked bench_parallel check_parallel
 
-python3 - "$VBD_RESULT" <<'EOF'
+check_vbd() {
+  python3 - "$VBD_RESULT" <<'EOF'
 import json
 import sys
 
@@ -434,6 +515,9 @@ print("check_perf: OK (vbd: pass-through schedule identical, "
       f"{ratio:.2f}x solo < 2x; unthrottled was "
       f"{noisy.get('ratio_noqos', 0):.2f}x)")
 EOF
+}
+run_gate 8 "vbd: neutral tenant, 256-tenant digest, noisy p999 < 2x" \
+  checked bench_vbd check_vbd
 
 check_obs() {
   python3 - "$OBS_RESULT" <<'EOF'
@@ -478,9 +562,11 @@ print(f"check_perf: OK (obs: attached-profiler overhead {ovh:.1%} <= 2%, "
       f"({wd.get('breaches')} breaches, digest stable))")
 EOF
 }
-gate_with_retry bench_obs check_obs
+run_gate 9 "attached profiler <= 2%, watchdog deterministic" \
+  gate_with_retry bench_obs check_obs
 
-python3 - "$SHARDED_DEVICE_RESULT" <<'EOF'
+check_sharded_device() {
+  python3 - "$SHARDED_DEVICE_RESULT" <<'EOF'
 import json
 import sys
 
@@ -534,8 +620,12 @@ if failures:
 print("check_perf: OK (sharded device byte-identical at every worker "
       f"count, GC active (WA {wa:.2f}); {note})")
 EOF
+}
+run_gate 10 "sharded device: determinism at 1/2/4 workers, 4 workers >= 1.5x" \
+  checked bench_sharded_device check_sharded_device
 
-python3 - "$CROSSOVER_RESULT" <<'EOF'
+check_crossover() {
+  python3 - "$CROSSOVER_RESULT" <<'EOF'
 import json
 import sys
 
@@ -600,3 +690,17 @@ print("check_perf: OK (crossover: deterministic, WA "
       f"{cross.get('commit_speedup', 0):.0f}x, device L2P shrink "
       f"{cross.get('device_map_shrink', 0):.1f}x)")
 EOF
+}
+run_gate 11 "section 3 crossover: deterministic, WA, commit latency, L2P" \
+  checked bench_crossover check_crossover
+
+echo
+echo "check_perf: summary"
+for line in "${GATE_LINES[@]}"; do
+  echo "  $line"
+done
+if [ "$GATES_FAILED" -gt 0 ]; then
+  echo "check_perf: FAIL ($GATES_FAILED of ${#GATE_LINES[@]} gates failed)"
+  exit 1
+fi
+echo "check_perf: OK (no gate failed)"

@@ -95,7 +95,9 @@ BlockLayer::IoState* BlockLayer::AcquireIo(std::uint32_t q) {
 void BlockLayer::ReleaseIo(IoState* st) {
   st->req = IoRequest{};
   st->user_cb = nullptr;
-  st->result = IoResult{};
+  // Keep the token buffer's capacity for the tag's next read.
+  st->result.status = Status::Ok();
+  st->result.tokens.clear();
   QueuePair& pair = queues_[st->q];
   pair.tags.Release(st->tag);
   // A freed tag resumes one parked request through the full submit path
@@ -204,7 +206,10 @@ void BlockLayer::OnDeviceComplete(IoState* st, const IoResult& result) {
     ReleaseIo(st);
     return;
   }
-  st->result = result;
+  // assign reuses the state's token buffer: once it has grown to a
+  // read's size, completions copy tokens without allocating.
+  st->result.status = result.status;
+  st->result.tokens.assign(result.tokens.begin(), result.tokens.end());
   st->complete_t = sim_->Now();
   if (config_.coalesce_depth <= 1 && config_.coalesce_ns == 0) {
     // Uncoalesced: one completion-CPU charge per IO (old behaviour).
@@ -308,9 +313,17 @@ void BlockLayer::FinishIo(IoState* st) {
     }
   }
   IoCallback cb = std::move(st->user_cb);
+  // The result must outlive ReleaseIo, which frees the tag for the next
+  // request (possibly one the callback submits), so the token buffer
+  // moves out for the call and comes back afterwards — unless the
+  // tag's next IO has already stored a result of its own.
   IoResult result = std::move(st->result);
   ReleaseIo(st);
   if (cb) cb(result);
+  if (st->result.tokens.capacity() == 0) {
+    result.tokens.clear();
+    st->result.tokens.swap(result.tokens);
+  }
 }
 
 void BlockLayer::RetrySubmit(IoState* st) {
@@ -331,7 +344,8 @@ void BlockLayer::RetrySubmit(IoState* st) {
   r.on_complete.tag =
       st->tag < IoCallback::kNoTag ? static_cast<std::uint16_t>(st->tag)
                                    : IoCallback::kNoTag;
-  st->result = IoResult{};
+  st->result.status = Status::Ok();
+  st->result.tokens.clear();
   st->req = std::move(r);
   // Re-enter at the queue stage: the retry pays lock + scheduling again
   // (it is a fresh request to the device) but not the submit-side CPU,

@@ -68,12 +68,13 @@ void EngineProfiler::Reset() {
 }
 
 void EngineProfiler::OnWindowBegin(std::uint64_t round, SimTime floor,
-                                   SimTime end,
-                                   std::uint64_t wall_begin_ns) {
+                                   SimTime end, std::uint64_t wall_begin_ns,
+                                   bool pooled) {
   (void)round;
   window_wall_begin_ns_ = wall_begin_ns;
   window_floor_ = floor;
   window_end_ = end;
+  window_pooled_ = pooled;
   if (first_window_wall_ns_ == 0) first_window_wall_ns_ = wall_begin_ns;
 }
 
@@ -120,6 +121,7 @@ void EngineProfiler::OnWindowEnd(std::uint64_t round,
     rec->end = window_end_;
     rec->wall_begin_ns = window_wall_begin_ns_;
     rec->wall_end_ns = wall_end_ns;
+    rec->pooled = window_pooled_;
     rec->shards.resize(scratch_.size());
   }
 
@@ -128,10 +130,17 @@ void EngineProfiler::OnWindowEnd(std::uint64_t round,
     ShardProfile& p = shard_profiles_[i];
     if (s.ran) {
       // The conservation identity: the three buckets are differences
-      // that telescope to exactly (window end - window begin).
-      p.idle_wall_ns += s.wall_begin_ns - window_wall_begin_ns_;
-      p.busy_wall_ns += s.wall_end_ns - s.wall_begin_ns;
-      p.barrier_wall_ns += wall_end_ns - s.wall_end_ns;
+      // that telescope to exactly (window end - window begin). An
+      // inline window has no other thread to wait for after the slice,
+      // so all of its non-busy time is idle and none is barrier.
+      const std::uint64_t busy = s.wall_end_ns - s.wall_begin_ns;
+      p.busy_wall_ns += busy;
+      if (window_pooled_) {
+        p.idle_wall_ns += s.wall_begin_ns - window_wall_begin_ns_;
+        p.barrier_wall_ns += wall_end_ns - s.wall_end_ns;
+      } else {
+        p.idle_wall_ns += wall_end_ns - window_wall_begin_ns_ - busy;
+      }
       p.events += s.events;
       if (s.min_pending == sim::ShardedEngine::kNoEvent) {
         ++p.windows_idle;

@@ -24,7 +24,11 @@ namespace postblock::obs {
 ///             results waited for the stragglers — imbalance, directly)
 ///
 /// so busy + idle + barrier == Σ window wall spans per shard, an exact
-/// conservation identity tests can hold to the nanosecond.
+/// conservation identity tests can hold to the nanosecond. An inline
+/// window (the coordinator ran every shard; see sim::ShardedEngine)
+/// has no other thread to wait for: all of a shard's non-busy time in
+/// it is idle (it queued behind the shards before and after it on
+/// worker 0) and its barrier time is zero.
 struct ShardProfile {
   std::uint64_t busy_wall_ns = 0;
   std::uint64_t idle_wall_ns = 0;
@@ -62,6 +66,11 @@ struct WindowRecord {
   SimTime end = 0;
   std::uint64_t wall_begin_ns = 0;
   std::uint64_t wall_end_ns = 0;
+  /// False for an inline window. Its shard spans are the real ones:
+  /// worker 0 ran the shards back to back in id order. Its bucket
+  /// split is not read off the spans: a shard's non-busy time in it
+  /// is all idle (see ShardProfile).
+  bool pooled = false;
   std::vector<ShardSpan> shards;
 };
 
@@ -112,7 +121,7 @@ class EngineProfiler final : public sim::EngineObserver {
   // --- sim::EngineObserver hooks --------------------------------------
   void OnAttach(const sim::ShardedConfig& config) override;
   void OnWindowBegin(std::uint64_t round, SimTime floor, SimTime end,
-                     std::uint64_t wall_begin_ns) override;
+                     std::uint64_t wall_begin_ns, bool pooled) override;
   void OnShardWindow(std::uint64_t round, std::uint32_t shard,
                      std::uint32_t worker, SimTime floor,
                      SimTime min_pending_before, std::uint64_t events_delta,
@@ -202,6 +211,7 @@ class EngineProfiler final : public sim::EngineObserver {
   std::uint64_t window_wall_begin_ns_ = 0;
   SimTime window_floor_ = 0;
   SimTime window_end_ = 0;
+  bool window_pooled_ = false;
   std::vector<ShardScratch> scratch_;
   std::vector<WorkerScratch> worker_scratch_;
 

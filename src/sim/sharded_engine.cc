@@ -81,23 +81,7 @@ ShardedEngine::ShardedEngine(const ShardedConfig& config)
 
 ShardedEngine::~ShardedEngine() { StopPool(); }
 
-std::size_t ShardedEngine::DeliverMessages() {
-  merge_buf_.clear();
-  for (auto& shard : shards_) {
-    for (Message& m : shard->outbox) merge_buf_.push_back(std::move(m));
-    shard->outbox.clear();
-  }
-  if (merge_buf_.empty()) return 0;
-  // The deterministic merge: a total order on cross-shard events that
-  // no worker interleaving can perturb. Push order into the destination
-  // wheel encodes the tiebreak (EventQueue fires equal timestamps in
-  // insertion order).
-  std::sort(merge_buf_.begin(), merge_buf_.end(),
-            [](const Message& a, const Message& b) {
-              if (a.when != b.when) return a.when < b.when;
-              if (a.from != b.from) return a.from < b.from;
-              return a.seq < b.seq;
-            });
+void ShardedEngine::DeliverMessages() {
   // Messages are observed only when the window they precede is sampled
   // (countdown at 1 means the next RunWindow decrements it to 0), so
   // the flow matrix stays consistent with the sampled window set.
@@ -105,36 +89,69 @@ std::size_t ShardedEngine::DeliverMessages() {
       (config_.observer != nullptr && obs_countdown_ == 1)
           ? config_.observer
           : nullptr;
-  for (Message& m : merge_buf_) {
-    if (obs != nullptr) obs->OnMessage(m.from, m.to, m.when);
-    // The lookahead contract makes every message strictly future for
-    // its destination (when >= window end > every shard clock), so the
-    // exact timestamp survives — ScheduleAt would assert otherwise.
-    shards_[m.to]->sim.ScheduleAt(m.when, std::move(m.cb));
+  // Push order is the deterministic tiebreak. A destination queue
+  // fires by (when, push order), and every message of this round is
+  // pushed before any of them runs, so only the relative push order of
+  // equal-`when` messages to one destination matters: shards in id
+  // order, each outbox in post order, puts those in (from, seq) order
+  // whichever worker produced them.
+  for (std::uint32_t from = 0; from < num_shards(); ++from) {
+    std::vector<Message>& outbox = shards_[from]->outbox;
+    for (Message& m : outbox) {
+      if (obs != nullptr) obs->OnMessage(from, m.to, m.when);
+      // The lookahead contract makes every message strictly future for
+      // its destination (when >= window end > every shard clock), so
+      // the exact timestamp survives — ScheduleAt would assert
+      // otherwise.
+      shards_[m.to]->sim.ScheduleAt(m.when, std::move(m.cb));
+    }
+    messages_delivered_ += outbox.size();
+    outbox.clear();
   }
-  const std::size_t n = merge_buf_.size();
-  messages_delivered_ += n;
-  merge_buf_.clear();
-  return n;
 }
 
 SimTime ShardedEngine::GlobalMinPending() {
   SimTime min = kNoEvent;
+  // Only PoolPaysOff reads the event counts, and only with a pool.
+  const bool count_events = !pool_.empty();
   for (auto& shard : shards_) {
     shard->min_pending = shard->sim.pending_events() == 0
                              ? kNoEvent
                              : shard->sim.MinPendingTime();
     min = std::min(min, shard->min_pending);
+    if (count_events) {
+      const std::uint64_t executed = shard->sim.events_executed();
+      shard->last_window_events = executed - shard->events_mark;
+      shard->events_mark = executed;
+    }
   }
   return min;
 }
 
+bool ShardedEngine::PoolPaysOff(SimTime window_end) const {
+  const std::uint32_t workers = config_.workers;
+  std::uint32_t busy_workers = 0;
+  for (std::uint32_t w = 0; w < workers; ++w) {
+    std::uint64_t predicted = 0;
+    for (std::uint32_t s = w; s < num_shards(); s += workers) {
+      const Shard& shard = *shards_[s];
+      if (shard.min_pending <= window_end) {
+        predicted += shard.last_window_events;
+      }
+    }
+    if (predicted >= kPoolBreakEvenEvents && ++busy_workers == 2) {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::uint64_t ShardedEngine::RunShardRange(std::uint32_t worker_id,
+                                           std::uint32_t stride,
                                            SimTime floor,
                                            SimTime window_end,
                                            std::uint64_t wall_hint) {
   EngineObserver* const obs = window_obs_;
-  const std::uint32_t stride = std::max(1u, config_.workers);
   if (obs == nullptr) {
     for (std::uint32_t s = worker_id; s < num_shards(); s += stride) {
       shards_[s]->sim.RunUntil(window_end);
@@ -166,6 +183,7 @@ std::uint64_t ShardedEngine::RunShardRange(std::uint32_t worker_id,
 
 void ShardedEngine::RunWindow(SimTime floor, SimTime window_end) {
   ++rounds_;
+  const bool pooled = !pool_.empty() && PoolPaysOff(window_end);
   // Window-sampling gate: observe this window iff the countdown fires.
   // window_obs_ is published to helpers by the generation bump below,
   // alongside the window bounds.
@@ -178,45 +196,41 @@ void ShardedEngine::RunWindow(SimTime floor, SimTime window_end) {
   std::uint64_t wall = 0;
   if (obs != nullptr) {
     wall = WallNs();
-    obs->OnWindowBegin(rounds_, floor, window_end, wall);
+    obs->OnWindowBegin(rounds_, floor, window_end, wall, pooled);
   }
-  // `wall` chains through the single-thread paths: the window-begin
-  // read seeds the first shard, and the last shard's end read IS the
-  // window end (nothing runs after it). The pool path must take a
-  // fresh read instead — the window ends at the last helper's ack,
-  // not at the coordinator's own last shard.
-  bool reuse_wall = false;
-  if (config_.workers == 0) {
-    // The sequential reference: same windows, same merge, one thread,
-    // shards in id order. Everything the parallel path must match.
-    wall = RunShardRange(0, floor, window_end, wall);
-    reuse_wall = true;
-  } else if (pool_.empty()) {
-    wall = RunShardRange(0, floor, window_end, wall);
-    reuse_wall = true;
-  } else {
-    pool_window_end_ = window_end;
-    pool_window_floor_ = floor;
-    acks_.store(0, std::memory_order_relaxed);
-    // Release the helpers: the generation bump publishes
-    // pool_window_end_ / pool_window_floor_.
-    generation_.fetch_add(1, std::memory_order_release);
-    generation_.notify_all();
-    RunShardRange(0, floor, window_end, wall);  // the caller is worker 0
-    // Wait for all helpers to ack this window.
-    const auto helpers = static_cast<std::uint32_t>(pool_.size());
-    std::uint32_t done = acks_.load(std::memory_order_acquire);
-    while (done != helpers) {
-      int spins = 4096;
-      while (spins-- > 0 &&
-             (done = acks_.load(std::memory_order_acquire)) != helpers) {
-      }
-      if (done != helpers) acks_.wait(done, std::memory_order_acquire);
+  if (!pooled) {
+    // Inline: the sequential reference's loop — same windows, same
+    // delivery, one thread, shards in id order. `wall` chains through:
+    // the window-begin read seeds the first shard, and the last shard's
+    // end read IS the window end (nothing runs after it).
+    wall = RunShardRange(0, 1, floor, window_end, wall);
+    if (obs != nullptr) obs->OnWindowEnd(rounds_, wall);
+    return;
+  }
+  ++pooled_windows_;
+  pool_window_end_ = window_end;
+  pool_window_floor_ = floor;
+  acks_.store(0, std::memory_order_relaxed);
+  // Release the helpers: the generation bump publishes
+  // pool_window_end_ / pool_window_floor_ and every shard the
+  // coordinator ran in earlier inline windows.
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+  // The caller is worker 0.
+  RunShardRange(0, config_.workers, floor, window_end, wall);
+  // Wait for all helpers to ack this window.
+  const auto helpers = static_cast<std::uint32_t>(pool_.size());
+  std::uint32_t done = acks_.load(std::memory_order_acquire);
+  while (done != helpers) {
+    int spins = 4096;
+    while (spins-- > 0 &&
+           (done = acks_.load(std::memory_order_acquire)) != helpers) {
     }
+    if (done != helpers) acks_.wait(done, std::memory_order_acquire);
   }
-  if (obs != nullptr) {
-    obs->OnWindowEnd(rounds_, reuse_wall ? wall : WallNs());
-  }
+  // The window ends at the last helper's ack, not at the coordinator's
+  // own last shard: take a fresh read.
+  if (obs != nullptr) obs->OnWindowEnd(rounds_, WallNs());
 }
 
 SimTime ShardedEngine::Run() {
@@ -312,7 +326,8 @@ void ShardedEngine::WorkerLoop(std::uint32_t worker_id) {
     if (window_obs_ != nullptr) {
       window_obs_->OnWorkerStall(worker_id, WallNs() - stall_begin);
     }
-    RunShardRange(worker_id, pool_window_floor_, pool_window_end_);
+    RunShardRange(worker_id, config_.workers, pool_window_floor_,
+                  pool_window_end_);
     acks_.fetch_add(1, std::memory_order_release);
     acks_.notify_one();
   }

@@ -20,21 +20,23 @@ struct ShardedConfig;
 /// no-ops by default and carry both clocks: sim-time window bounds and
 /// wall-clock nanoseconds (steady_clock). The engine reads the wall
 /// clock *only* when an observer is attached, and nothing an observer
-/// returns feeds back into windowing or merge decisions — attaching
-/// one is schedule-byte-identical by construction (gate 9 holds this).
+/// returns feeds back into windowing, window modes or delivery —
+/// attaching one is schedule-byte-identical by construction (gate 9
+/// holds this).
 ///
 /// Threading contract:
 ///   - OnAttach / OnWindowBegin / OnWindowEnd / OnMessage run on the
 ///     coordinator thread, strictly between windows.
 ///   - OnShardWindow runs on the worker thread that executed the
-///     shard's window (exactly one call per shard per window; shard s
-///     is statically owned by worker s % workers). Implementations
-///     must confine writes to per-shard state; the engine's ack
-///     release / coordinator acquire pair makes those writes visible
-///     to OnWindowEnd without extra synchronization.
+///     shard's window (exactly one call per shard per window). In a
+///     pooled window shard s runs on worker s % workers; in an inline
+///     window the coordinator (worker 0) runs every shard in id order.
+///     Implementations must confine writes to per-shard state; the
+///     engine's ack release / coordinator acquire pair makes those
+///     writes visible to OnWindowEnd without extra synchronization.
 ///   - OnWorkerStall runs on helper threads (worker ids >= 1) after
 ///     each generation-barrier wait; the reported span covers the
-///     whole wait, including coordinator merge time between windows.
+///     whole wait, including coordinator delivery time between windows.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
@@ -44,9 +46,13 @@ class EngineObserver {
   virtual void OnAttach(const ShardedConfig& /*config*/) {}
 
   /// Coordinator is about to run window [floor, end] (inclusive end:
-  /// floor + lookahead - 1, possibly clamped by a deadline).
+  /// floor + lookahead - 1, possibly clamped by a deadline). `pooled`
+  /// is true when helper threads run shards of this window, false when
+  /// the coordinator runs every shard itself (an inline window; always
+  /// so at workers <= 1).
   virtual void OnWindowBegin(std::uint64_t /*round*/, SimTime /*floor*/,
-                             SimTime /*end*/, std::uint64_t /*wall_begin_ns*/) {}
+                             SimTime /*end*/, std::uint64_t /*wall_begin_ns*/,
+                             bool /*pooled*/) {}
 
   /// Shard `shard` finished its slice of window `round` on thread
   /// `worker`. `min_pending_before` is the shard's earliest pending
@@ -65,7 +71,8 @@ class EngineObserver {
   virtual void OnWindowEnd(std::uint64_t /*round*/,
                            std::uint64_t /*wall_end_ns*/) {}
 
-  /// One cross-shard message delivered (coordinator, merge order).
+  /// One cross-shard message delivered (coordinator, delivery order:
+  /// sender shards in id order, each sender's messages in post order).
   virtual void OnMessage(std::uint32_t /*from*/, std::uint32_t /*to*/,
                          SimTime /*when*/) {}
 
@@ -125,23 +132,35 @@ struct ShardedConfig {
 ///
 /// Execution proceeds in rendezvous rounds. At each barrier the engine
 /// (single-threaded) (1) delivers all cross-shard messages posted
-/// during the previous window — sorted by (timestamp, sender shard,
-/// sender sequence), so ties merge identically no matter which worker
-/// produced them first — and (2) picks the next window
-/// [W, W + lookahead) where W is the global earliest pending timestamp
-/// (a non-committing wheel probe). Every shard then runs its local
-/// events with timestamp < W + lookahead, in parallel. The lookahead
-/// contract (`when >= t + lookahead` for every Post) guarantees any
-/// message produced inside the window lands at or after the window
-/// end, so delivery at the next barrier never back-dates an event.
+/// during the previous window — sender shards in id order, each
+/// sender's outbox in post order, so equal-timestamp messages to one
+/// destination fire in (when, sender shard, sender sequence) order no
+/// matter which worker produced them first — and (2) picks the next
+/// window [W, W + lookahead) where W is the global earliest pending
+/// timestamp (a non-committing wheel probe). Every shard then runs its
+/// local events with timestamp < W + lookahead. The lookahead contract
+/// (`when >= t + lookahead` for every Post) guarantees any message
+/// produced inside the window lands at or after the window end, so
+/// delivery at the next barrier never back-dates an event.
+///
+/// Window modes (workers >= 2): a window is *pooled* — helpers run
+/// their static share of shards in parallel — only when at least two
+/// workers each have predicted work of kPoolBreakEvenEvents or more;
+/// otherwise it is *inline*: the coordinator runs every shard in id
+/// order, exactly as the workers=0 reference does, and the helpers
+/// stay parked. A shard's predicted work is the number of events it
+/// committed in its previous window if it has an event inside this
+/// window, else 0 — committed state only, so the mode sequence is a
+/// pure function of the schedule at a given worker count.
 ///
 /// Determinism: window boundaries are a pure function of committed
-/// state, shards share nothing inside a window, and the merge order is
-/// total — so the committed global schedule is byte-identical at any
-/// worker count, including the workers=0 sequential reference. The
-/// per-shard Simulator fingerprints (plus model observables) are the
-/// checkable witness; gate 7 in scripts/check_perf.sh holds runs at
-/// 1/2/4 workers to the workers=0 fingerprint.
+/// state, shards share nothing inside a window (so the thread that runs
+/// a shard cannot change what it commits), and delivery order is fixed
+/// — so the committed global schedule is byte-identical at any worker
+/// count, including the workers=0 sequential reference. The per-shard
+/// Simulator fingerprints (plus model observables) are the checkable
+/// witness; gate 7 in scripts/check_perf.sh holds runs at 1/2/4
+/// workers to the workers=0 fingerprint.
 class ShardedEngine {
  public:
   explicit ShardedEngine(const ShardedConfig& config);
@@ -168,15 +187,14 @@ class ShardedEngine {
   /// `when`. Must be called either before Run()/RunUntil() (setup), or
   /// from an event currently executing on shard `from` with
   /// `when >= shard(from)->Now() + lookahead` — asserted. Messages are
-  /// delivered at the next rendezvous, merged in (when, from, seq)
-  /// order.
+  /// delivered at the next rendezvous; equal-timestamp messages to one
+  /// shard fire in (from, post order) order.
   template <typename F>
   void Post(std::uint32_t from, std::uint32_t to, SimTime when, F&& f) {
     assert(to < num_shards());
     Shard& src = *shards_[from];
     assert(!running_ || when >= src.sim.Now() + config_.lookahead);
-    src.outbox.push_back(
-        Message{when, from, to, src.next_msg_seq++, std::forward<F>(f)});
+    src.outbox.push_back(Message{when, to, std::forward<F>(f)});
   }
 
   /// Runs rounds until every shard drains and no message is in flight.
@@ -196,17 +214,30 @@ class ShardedEngine {
   /// the seam-traffic observability bench_parallel reports.
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
+  /// Windows the coordinator ran alone vs. with the helper pool
+  /// (inline + pooled == rounds). Every window is inline at workers
+  /// <= 1. Deterministic for a given worker count: the mode decision
+  /// reads committed state only.
+  std::uint64_t inline_windows() const { return rounds_ - pooled_windows_; }
+  std::uint64_t pooled_windows() const { return pooled_windows_; }
 
   /// Sentinel "no pending event" timestamp, as passed to
   /// EngineObserver::OnShardWindow for idle shards.
   static constexpr SimTime kNoEvent = ~SimTime{0};
 
+  /// Break-even for waking the helper pool, in predicted events per
+  /// worker. Waking parked helpers and collecting their acks costs
+  /// 10-15 µs per window on a 4-thread x86-64 VM, and events run about
+  /// 250-300 ns apiece on the sharded SSD, so a window pays for the
+  /// pool only when the second-busiest worker has about 50 events to
+  /// take off the coordinator; 64 keeps the pool for windows that win.
+  /// The measurement is in DESIGN.md §4f.
+  static constexpr std::uint64_t kPoolBreakEvenEvents = 64;
+
  private:
   struct Message {
     SimTime when;
-    std::uint32_t from;
     std::uint32_t to;
-    std::uint64_t seq;  // per-sender counter: the deterministic tiebreak
     InplaceCallback cb;
   };
 
@@ -217,43 +248,55 @@ class ShardedEngine {
   struct alignas(64) Shard {
     Simulator sim;
     std::vector<Message> outbox;
-    std::uint64_t next_msg_seq = 0;
     /// Earliest pending timestamp, cached by GlobalMinPending() (which
     /// probes every shard anyway) so the observed RunShardRange can
-    /// report lookahead slack without a second wheel scan. Valid for
-    /// the window derived from that probe: messages were already
+    /// report lookahead slack without a second wheel scan, and the mode
+    /// decision can tell which shards have work in the window. Valid
+    /// for the window derived from that probe: messages were already
     /// delivered, and nothing else touches the shard's queue until its
     /// own RunUntil. Coordinator-written between windows; the
     /// generation release/acquire pair publishes it to workers.
     SimTime min_pending = kNoEvent;
+    /// Events the shard committed between the last two probes — its
+    /// previous window — and the events_executed() mark they are
+    /// counted from. Coordinator-only.
+    std::uint64_t last_window_events = 0;
+    std::uint64_t events_mark = 0;
   };
 
-  /// Delivers all pending outbox messages in merge order. Returns the
-  /// number delivered. Coordinator-only (between windows).
-  std::size_t DeliverMessages();
+  /// Delivers all pending outbox messages: sender shards in id order,
+  /// each outbox in post order. Coordinator-only (between windows).
+  void DeliverMessages();
   /// Earliest pending timestamp across shards, or kNoEvent when idle.
-  /// Caches each shard's own minimum in Shard::min_pending as a side
-  /// effect (the slack probe for an observed window).
+  /// Caches each shard's own minimum in Shard::min_pending and its
+  /// previous window's event count in Shard::last_window_events.
   SimTime GlobalMinPending();
-  /// Runs one window [floor, window_end] on every shard, using the
-  /// worker pool when configured. `floor` is the global min-pending
-  /// probe the window was derived from (observer-only; RunUntil clamps
-  /// window_end, so the floor cannot be recovered from it).
+  /// True when at least two workers each have kPoolBreakEvenEvents or
+  /// more predicted events in the window ending at `window_end`.
+  bool PoolPaysOff(SimTime window_end) const;
+  /// Runs one window [floor, window_end] on every shard: with the
+  /// worker pool when PoolPaysOff, else inline on the calling thread.
+  /// `floor` is the global min-pending probe the window was derived
+  /// from (observer-only; RunUntil clamps window_end, so the floor
+  /// cannot be recovered from it).
   void RunWindow(SimTime floor, SimTime window_end);
-  /// Runs this worker's shards up to window_end. With an observer
-  /// attached, returns the wall timestamp of the last shard's end
-  /// (chained reads: each end doubles as the next begin; `wall_hint`
-  /// seeds the first when nonzero). Returns 0 unobserved.
-  std::uint64_t RunShardRange(std::uint32_t worker_id, SimTime floor,
-                              SimTime window_end,
+  /// Runs shards worker_id, worker_id + stride, ... up to window_end.
+  /// With an observer attached, returns the wall timestamp of the last
+  /// shard's end (chained reads: each end doubles as the next begin;
+  /// `wall_hint` seeds the first when nonzero). Returns 0 unobserved.
+  std::uint64_t RunShardRange(std::uint32_t worker_id, std::uint32_t stride,
+                              SimTime floor, SimTime window_end,
                               std::uint64_t wall_hint = 0);
 
   // --- Worker pool -----------------------------------------------------
   // Generation barrier on C++20 atomic wait/notify with a short spin
-  // prefix: the coordinator publishes (window_end, generation), each
-  // helper runs its static share of shards (shard s belongs to worker
-  // s % workers), then acks. Static assignment keeps a shard's window
-  // on one thread for cache locality; determinism never depends on it.
+  // prefix: for a pooled window the coordinator publishes (window_end,
+  // generation), each helper runs its static share of shards (shard s
+  // belongs to worker s % workers), then acks. Inline windows leave the
+  // generation alone, so helpers stay parked. A shard moves between a
+  // helper and the coordinator only across an ack release / acquire
+  // (helper -> coordinator) or a generation release / acquire
+  // (coordinator -> helper). Determinism never depends on placement.
   void StartPool();
   void StopPool();
   void WorkerLoop(std::uint32_t worker_id);
@@ -263,6 +306,7 @@ class ShardedEngine {
   SimTime committed_ = 0;
   bool running_ = false;
   std::uint64_t rounds_ = 0;
+  std::uint64_t pooled_windows_ = 0;
   std::uint64_t messages_delivered_ = 0;
 
   std::vector<std::thread> pool_;
@@ -279,8 +323,6 @@ class ShardedEngine {
   EngineObserver* window_obs_ = nullptr;
   std::uint32_t obs_stride_ = 1;
   std::uint32_t obs_countdown_ = 1;  // fires (samples) when it hits 0
-
-  std::vector<Message> merge_buf_;  // reused between rounds
 };
 
 }  // namespace postblock::sim

@@ -6,7 +6,9 @@
 // from Device down to Controller stays in its callback's inline buffer
 // (no CallbackSlab chunk is ever minted). Per-op state lives in pools
 // owned by the issuing layer, which stop growing once they reach their
-// high-water mark.
+// high-water mark. A blocklayer::BlockLayer stacked on the same device
+// adds nothing per IO: its tag-indexed states keep their token buffers,
+// so a read's result is copied up without allocating.
 //
 // This binary replaces the global operator new (as bench_sim_core does),
 // so every allocation anywhere in the process is counted.
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "blocklayer/block_layer.h"
 #include "common/rng.h"
 #include "sim/inplace_callback.h"
 #include "sim/simulator.h"
@@ -64,7 +67,8 @@ using blocklayer::IoResult;
 /// its own per IO beyond the write's token vector.
 class ClosedLoop {
  public:
-  ClosedLoop(sim::Simulator* sim, Device* dev, std::uint32_t depth)
+  ClosedLoop(sim::Simulator* sim, blocklayer::BlockDevice* dev,
+             std::uint32_t depth)
       : sim_(sim), dev_(dev), shadow_(dev->num_blocks(), 0), slots_(depth) {}
 
   /// Runs `ops` IOs; `sequential` writes every LBA in order, otherwise
@@ -136,7 +140,7 @@ class ClosedLoop {
   }
 
   sim::Simulator* sim_;
-  Device* dev_;
+  blocklayer::BlockDevice* dev_;
   Rng rng_{42};
   std::vector<std::uint64_t> shadow_;
   std::vector<Slot> slots_;
@@ -189,6 +193,42 @@ TEST(AllocContractTest, AgedPageFtlDeviceMakesOneAllocationPerIo) {
   EXPECT_EQ(slab1.chunk_allocs, slab0.chunk_allocs);
   EXPECT_EQ(slab1.chunk_reuses, slab0.chunk_reuses)
       << "a device-path continuation spilled out of its inline buffer";
+}
+
+TEST(AllocContractTest, BlockLayerOverAgedDeviceAddsNoAllocationPerIo) {
+  constexpr std::uint32_t kDepth = 8;
+  constexpr std::uint64_t kMixedOps = 20'000;
+  sim::Simulator sim;
+  Config config = Config::Small();
+  config.over_provisioning = 0.10;
+  Device dev(&sim, config);
+  blocklayer::BlockLayer blk(&sim, &dev, blocklayer::BlockLayerConfig{});
+  const std::uint64_t lbas = blk.num_blocks();
+  ClosedLoop client(&sim, &blk, kDepth);
+
+  client.Run(lbas, 1.0, /*sequential=*/true);
+  client.Run(4 * lbas, 1.0, /*sequential=*/false);
+  client.Run(kMixedOps, 0.5, /*sequential=*/false);
+
+  const std::uint64_t reads0 = blk.counters().Get("completed");
+  const sim::CallbackSlab::Stats slab0 = sim::CallbackSlab::stats();
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  client.Run(kMixedOps, 0.5, /*sequential=*/false);
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs0;
+  const sim::CallbackSlab::Stats slab1 = sim::CallbackSlab::stats();
+
+  ASSERT_EQ(client.completed(), kMixedOps);
+  ASSERT_EQ(blk.counters().Get("completed") - reads0, kMixedOps);
+  EXPECT_EQ(client.failures(), 0u);
+  EXPECT_EQ(client.stale_reads(), 0u);
+  // The device path's one allocation per IO (a write's payload, a
+  // read's result), and nothing from the block layer on top of it.
+  EXPECT_LE(allocs, kMixedOps)
+      << static_cast<double>(allocs) / kMixedOps << " allocations per IO";
+  // The dispatch-accounting wrapper is boxed into a recycled slab chunk
+  // (a reuse, not an allocation); no new chunk may be minted.
+  EXPECT_EQ(slab1.chunk_allocs, slab0.chunk_allocs);
 }
 
 }  // namespace

@@ -78,9 +78,15 @@ TEST(EngineProfilerTest, WallBucketsTileEveryWindowExactly) {
       ASSERT_LE(w.wall_begin_ns, sp.wall_begin_ns);
       ASSERT_LE(sp.wall_begin_ns, sp.wall_end_ns);
       ASSERT_LE(sp.wall_end_ns, w.wall_end_ns);
-      idle[s] += sp.wall_begin_ns - w.wall_begin_ns;
-      busy[s] += sp.wall_end_ns - sp.wall_begin_ns;
-      barrier[s] += w.wall_end_ns - sp.wall_end_ns;
+      const std::uint64_t sp_busy = sp.wall_end_ns - sp.wall_begin_ns;
+      busy[s] += sp_busy;
+      if (w.pooled) {
+        idle[s] += sp.wall_begin_ns - w.wall_begin_ns;
+        barrier[s] += w.wall_end_ns - sp.wall_end_ns;
+      } else {
+        // Inline: no other thread to wait for, so no barrier time.
+        idle[s] += (w.wall_end_ns - w.wall_begin_ns) - sp_busy;
+      }
       events[s] += sp.events;
     }
   }
@@ -105,6 +111,59 @@ TEST(EngineProfilerTest, WallBucketsTileEveryWindowExactly) {
   for (const std::uint64_t v : profiler.message_matrix()) matrix_sum += v;
   EXPECT_EQ(matrix_sum, profiler.messages());
   EXPECT_GT(profiler.slack_hist().count(), 0u);
+}
+
+TEST(EngineProfilerTest, InlineWindowsRunOnWorkerZeroWithNoBarrierTime) {
+  for (const std::uint32_t workers : {0u, 2u}) {
+    obs::EngineProfilerConfig pc;
+    pc.max_window_records = 1 << 20;
+    pc.sample_every = 1;
+    obs::EngineProfiler profiler(pc);
+    ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(workers, &profiler));
+    sim.Run();
+    const sim::ShardedEngine& engine = *sim.engine();
+
+    ASSERT_EQ(profiler.windows_dropped(), 0u);
+    ASSERT_EQ(profiler.windows_observed(), engine.rounds());
+    ASSERT_GT(engine.inline_windows(), 0u) << "workers=" << workers;
+    std::uint64_t inline_records = 0;
+    std::uint64_t span_sum = 0;
+    std::vector<std::uint64_t> pooled_barrier(profiler.shards(), 0);
+    for (const obs::WindowRecord& w : profiler.windows()) {
+      span_sum += w.wall_end_ns - w.wall_begin_ns;
+      // An inline window's record keeps the real run order: worker 0
+      // ran the shards back to back in id order, so their spans tile
+      // the window end to end.
+      std::uint64_t next_begin = w.wall_begin_ns;
+      for (std::uint32_t s = 0; s < w.shards.size(); ++s) {
+        const obs::WindowRecord::ShardSpan& sp = w.shards[s];
+        if (w.pooled) {
+          pooled_barrier[s] += w.wall_end_ns - sp.wall_end_ns;
+          continue;
+        }
+        EXPECT_EQ(sp.worker, 0u) << "round " << w.round;
+        EXPECT_EQ(sp.wall_begin_ns, next_begin)
+            << "round " << w.round << " shard " << s;
+        next_begin = sp.wall_end_ns;
+      }
+      if (!w.pooled) {
+        EXPECT_EQ(next_begin, w.wall_end_ns) << "round " << w.round;
+      }
+      if (!w.pooled) ++inline_records;
+    }
+    EXPECT_EQ(inline_records, engine.inline_windows());
+    EXPECT_EQ(profiler.windows().size() - inline_records,
+              engine.pooled_windows());
+    for (std::uint32_t s = 0; s < profiler.shards(); ++s) {
+      const obs::ShardProfile& p = profiler.shard_profiles()[s];
+      // Barrier time comes from pooled windows only, and the buckets
+      // still tile the window spans to the nanosecond.
+      EXPECT_EQ(p.barrier_wall_ns, pooled_barrier[s]) << "shard " << s;
+      EXPECT_EQ(p.busy_wall_ns + p.idle_wall_ns + p.barrier_wall_ns,
+                span_sum)
+          << "shard " << s;
+    }
+  }
 }
 
 TEST(EngineProfilerTest, SamplingObservesEveryNthWindowExactly) {

@@ -2,9 +2,10 @@
 //
 // The load-bearing property is byte-identical committed schedules at
 // every worker count (including the workers=0 sequential reference) —
-// held here by exact-timestamp checks, merge-order checks, and a
-// randomized cross-thread determinism property test that compares
-// schedule fingerprints across 1/2/4/8 workers and run-twice repeats.
+// held here by exact-timestamp checks, delivery-order checks, and
+// randomized cross-thread determinism property tests that compare
+// schedule fingerprints across 1/2/4/8 workers and run-twice repeats —
+// one of them on a workload that runs both inline and pooled windows.
 
 #include "sim/sharded_engine.h"
 
@@ -114,6 +115,55 @@ TEST(ShardedEngineTest, CrossShardMergeOrdersByTimestampShardSeq) {
   EXPECT_EQ(arrivals[1], 10u);
   EXPECT_EQ(arrivals[2], 11u);
   EXPECT_EQ(arrivals[3], 2u);
+}
+
+TEST(ShardedEngineTest, DeliveryFiresEqualTimestampsInSenderThenPostOrder) {
+  // Three senders each post to shard 3 from inside a window, with their
+  // timestamps out of order within each outbox. Delivery pushes outbox
+  // by outbox with no sort; the destination must still fire everything
+  // in (when, from, seq) order, at every worker count.
+  struct Arrival {
+    SimTime when;
+    std::uint32_t from;
+    std::uint32_t seq;
+    bool operator==(const Arrival&) const = default;
+  };
+  const std::vector<std::vector<SimTime>> posts = {
+      {700, 500, 700, 500, 600},  // sender 0
+      {500, 700, 500},            // sender 1
+      {600, 700, 500, 500},       // sender 2
+  };
+  std::vector<Arrival> want;
+  for (const SimTime when : {500, 600, 700}) {
+    for (std::uint32_t from = 0; from < posts.size(); ++from) {
+      for (std::uint32_t seq = 0; seq < posts[from].size(); ++seq) {
+        if (posts[from][seq] == when) want.push_back({when, from, seq});
+      }
+    }
+  }
+
+  for (const std::uint32_t workers : {0u, 2u, 4u}) {
+    ShardedConfig config;
+    config.shards = 4;
+    config.workers = workers;
+    config.lookahead = 100;
+    ShardedEngine engine(config);
+    std::vector<Arrival> got;
+    for (std::uint32_t from = 0; from < posts.size(); ++from) {
+      engine.shard(from)->Schedule(100 + from, [&, from] {
+        for (std::uint32_t seq = 0; seq < posts[from].size(); ++seq) {
+          const SimTime when = posts[from][seq];
+          engine.Post(from, 3, when, [&got, &engine, when, from, seq] {
+            EXPECT_EQ(engine.shard(3)->Now(), when);
+            got.push_back({when, from, seq});
+          });
+        }
+      });
+    }
+    engine.Run();
+    EXPECT_EQ(got, want) << "workers=" << workers;
+    EXPECT_EQ(engine.messages_delivered(), want.size());
+  }
 }
 
 TEST(ShardedEngineTest, MessagesKeepExactTimestamps) {
@@ -250,6 +300,129 @@ TEST(ShardedDeterminismTest, RunTwiceBitIdenticalPerWorkerCount) {
   for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
     EXPECT_EQ(RunRandomWorld(workers, 77), RunRandomWorld(workers, 77))
         << "workers=" << workers << " not reproducible across runs";
+  }
+}
+
+// --- Inline and pooled windows ----------------------------------------
+
+/// A workload whose windows alternate between thin and fat. Each shard
+/// runs a sparse chain that hops shards now and then (thin windows);
+/// at shared random instants every shard also starts a burst of dense
+/// chains, a few hundred events per window for several windows (fat
+/// windows, worth pooling), whose events post equal-timestamp messages
+/// across shards. Returns the schedule digest; `inline_windows` and
+/// `pooled_windows` receive the engine's window-mode counts.
+std::uint64_t RunMixedWorld(std::uint32_t workers, std::uint64_t seed,
+                            std::uint64_t* inline_windows,
+                            std::uint64_t* pooled_windows) {
+  constexpr std::uint32_t kShards = 5;
+  constexpr SimTime kLookahead = 64;
+
+  ShardedConfig config;
+  config.shards = kShards;
+  config.workers = workers;
+  config.lookahead = kLookahead;
+  ShardedEngine engine(config);
+
+  struct ShardWorld {
+    Rng rng{0};
+    std::uint64_t hash = 0;
+    std::uint64_t executed = 0;
+  };
+  std::vector<ShardWorld> worlds(kShards);
+  const flash::RngDomain domain(seed);
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    worlds[s].rng = domain.ForDomain(s);
+  }
+
+  struct Event {
+    ShardedEngine* engine;
+    std::vector<ShardWorld>* worlds;
+    std::uint32_t shard;
+    int left;
+    bool dense;
+
+    void operator()() const {
+      ShardWorld& w = (*worlds)[shard];
+      Simulator* sim = engine->shard(shard);
+      w.hash = Fold(w.hash, sim->Now() ^ (dense ? 1ull << 63 : 0));
+      ++w.executed;
+      if (left == 0) return;
+      const std::uint64_t draw = w.rng.Next();
+      const auto to = static_cast<std::uint32_t>(
+          (draw >> 16) % engine->num_shards());
+      if (dense) {
+        // Two events per ns on average; every 16th posts a message whose
+        // timestamp collides with other senders' often.
+        if ((draw >> 8 & 15) == 0) {
+          engine->Post(shard, to, sim->Now() + kLookahead + (draw >> 40 & 3),
+                       Event{engine, worlds, to, 0, false});
+        }
+        sim->Schedule(draw & 1, Event{engine, worlds, shard, left - 1, true});
+      } else if ((draw >> 8 & 3) == 0) {
+        engine->Post(shard, to, sim->Now() + kLookahead + (draw & 0x3ff),
+                     Event{engine, worlds, to, left - 1, false});
+      } else {
+        sim->Schedule(1 + (draw & 0x3ff),
+                      Event{engine, worlds, shard, left - 1, false});
+      }
+    }
+  };
+
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    engine.shard(s)->Schedule(s, Event{&engine, &worlds, s, 400, false});
+  }
+  Rng bursts = domain.ForDomain(kShards);
+  for (int b = 0; b < 8; ++b) {
+    const SimTime at = 1000 + bursts.Uniform(100'000);
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      for (int c = 0; c < 3; ++c) {
+        engine.shard(s)->ScheduleAt(at + c,
+                                    Event{&engine, &worlds, s, 1000, true});
+      }
+    }
+  }
+  engine.Run();
+
+  *inline_windows = engine.inline_windows();
+  *pooled_windows = engine.pooled_windows();
+  EXPECT_EQ(*inline_windows + *pooled_windows, engine.rounds());
+  std::uint64_t digest = engine.Fingerprint();
+  for (const ShardWorld& w : worlds) {
+    digest = Fold(digest, w.hash);
+    digest = Fold(digest, w.executed);
+  }
+  digest = Fold(digest, engine.events_executed());
+  digest = Fold(digest, engine.messages_delivered());
+  digest = Fold(digest, engine.Now());
+  return digest;
+}
+
+TEST(ShardedWindowModeTest, ThinAndFatWindowsScheduleIdentically) {
+  for (const std::uint64_t seed : {3ull, 0x5eedf00dull}) {
+    std::uint64_t inl = 0;
+    std::uint64_t pooled = 0;
+    const std::uint64_t reference = RunMixedWorld(0, seed, &inl, &pooled);
+    EXPECT_EQ(pooled, 0u) << "workers=0 has no pool";
+    for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+      std::uint64_t inl1 = 0, pooled1 = 0, inl2 = 0, pooled2 = 0;
+      EXPECT_EQ(RunMixedWorld(workers, seed, &inl1, &pooled1), reference)
+          << "workers=" << workers << " seed=" << seed
+          << " diverged from the sequential reference";
+      EXPECT_EQ(RunMixedWorld(workers, seed, &inl2, &pooled2), reference)
+          << "workers=" << workers << " seed=" << seed
+          << " not reproducible across runs";
+      // The mode sequence is a function of committed state alone.
+      EXPECT_EQ(inl1, inl2);
+      EXPECT_EQ(pooled1, pooled2);
+      EXPECT_GT(inl1, 0u) << "workers=" << workers;
+      if (workers == 1) {
+        EXPECT_EQ(pooled1, 0u) << "one worker never wakes a pool";
+      } else {
+        EXPECT_GT(pooled1, 0u) << "workers=" << workers
+                               << ": no window was fat enough to pool";
+      }
+    }
   }
 }
 
