@@ -2,8 +2,9 @@
 // cost, and do they stay schedule-neutral?
 //
 // Part A — obs::EngineProfiler on the sharded engine. The 4-channel
-// fig2-class workload (the gate-7 workload) runs detached and with the
-// profiler attached, best-of-N with rotating in-rep order, at
+// fig2-class workload (the gate-7 shape: the full ssd::Device, aged 95%,
+// QD 64, 25% writes, at half gate 7's IO count) runs detached and with
+// the profiler attached, best-of-N with rotating in-rep order, at
 // workers = 0 (the sequential reference — wall-clock-stable on any
 // machine). The attached run must cost <= 2% and its committed
 // schedule fingerprint must be byte-identical to detached; an extra
@@ -18,12 +19,12 @@
 // Emits BENCH_obs.json for scripts/check_perf.sh gate 9.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/sharded_sweep.h"
 #include "common/table.h"
 #include "metrics/metrics.h"
 #include "metrics/sampler.h"
@@ -32,7 +33,7 @@
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
-#include "ssd/sharded_backend.h"
+#include "ssd/sharded_device.h"
 #include "workload/patterns.h"
 
 namespace postblock {
@@ -47,28 +48,16 @@ ssd::Config EngineConfig() {
   return config;
 }
 
-struct EngineOut {
-  double seconds = 0;
-  std::uint64_t events = 0;
-  std::uint64_t fingerprint = 0;
-};
-
-EngineOut RunEngine(std::uint32_t workers, std::uint64_t ios_per_channel,
-                    obs::EngineProfiler* profiler) {
-  ssd::ShardedRunConfig run;
+bench::SweepRow RunEngine(std::uint32_t workers, std::uint64_t ios,
+                          obs::EngineProfiler* profiler) {
+  ssd::ShardedDeviceRun run;
   run.workers = workers;
-  run.ios_per_channel = ios_per_channel;
-  run.queue_depth_per_channel = 16;
+  run.queue_depth = 64;
+  run.total_ios = ios;
+  run.write_percent = 25;
+  run.fill_fraction = 0.95;
   run.observer = profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), run);
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.Run();
-  const auto t1 = std::chrono::steady_clock::now();
-  EngineOut out;
-  out.seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.events = sim.engine()->events_executed();
-  out.fingerprint = sim.CombinedFingerprint();
-  return out;
+  return bench::RunShardedOnce(EngineConfig(), run);
 }
 
 // --- Part B: watchdog determinism -----------------------------------------
@@ -129,20 +118,20 @@ int main() {
                 "profiler attached <= 2% wall clock and schedule "
                 "byte-identical; watchdog breach stream deterministic");
 
-  constexpr std::uint64_t kIosPerChannel = 30'000;
+  constexpr std::uint64_t kIos = 120'000;
   constexpr int kReps = 5;
 
   // Part A: best-of-N detached vs attached, rotating in-rep order so
   // neither mode always pays allocator warm-up / frequency drift.
   double best[2] = {1e30, 1e30};
-  EngineOut last[2];
+  bench::SweepRow last[2];
   obs::EngineProfiler profiler;
   for (int rep = 0; rep < kReps; ++rep) {
     for (int i = 0; i < 2; ++i) {
       const int m = (i + rep) % 2;
       if (m == 1) profiler.Reset();
-      const EngineOut out =
-          RunEngine(/*workers=*/0, kIosPerChannel,
+      const bench::SweepRow out =
+          RunEngine(/*workers=*/0, kIos,
                     m == 1 ? &profiler : nullptr);
       best[m] = std::min(best[m], out.seconds);
       last[m] = out;
@@ -153,8 +142,8 @@ int main() {
   // Neutrality: attached fingerprints (sequential and parallel) must
   // equal the detached sequential reference.
   obs::EngineProfiler par_profiler;
-  const EngineOut par =
-      RunEngine(/*workers=*/2, kIosPerChannel, &par_profiler);
+  const bench::SweepRow par =
+      RunEngine(/*workers=*/2, kIos, &par_profiler);
   const bool neutral = last[1].fingerprint == last[0].fingerprint &&
                        last[1].events == last[0].events &&
                        par.fingerprint == last[0].fingerprint &&

@@ -16,9 +16,10 @@
 //      the sampling grid, with breach counts and the first breaches;
 //   5. the cross-check: final sampled cumulative rows must equal the
 //      stack's always-on Counters (exit 1 otherwise);
-//   6. an engine-profiler section: the fig2-class workload again on
-//      sim::ShardedEngine with obs::EngineProfiler attached —
-//      per-shard busy/idle/barrier attribution and lookahead slack.
+//   6. an engine-profiler section: an aged fig2-class workload on the
+//      full ssd::Device split across sim::ShardedEngine shards, with
+//      obs::EngineProfiler attached — per-shard busy/idle/barrier
+//      attribution and lookahead slack.
 //
 // The sampled time series is written to <prefix>.csv and <prefix>.json
 // (git-SHA stamped); the profiler report goes to <prefix>.profile.json
@@ -44,7 +45,7 @@
 #include "obs/slo_watchdog.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
-#include "ssd/sharded_backend.h"
+#include "ssd/sharded_device.h"
 #include "trace/tracer.h"
 #include "vbd/backend.h"
 #include "vbd/frontend.h"
@@ -350,17 +351,20 @@ int main(int argc, char** argv) {
   }
 
   // --- 6. Engine profiler: the same workload class on sharded cores ---------
-  std::printf("\nengine profiler (fig2-class workload on "
-              "sim::ShardedEngine, 4 channels):\n\n");
+  std::printf("\nengine profiler (aged fig2-class workload, full "
+              "ssd::Device on sim::ShardedEngine, 4 channels):\n\n");
   obs::EngineProfiler profiler;
   {
     ssd::Config pcfg = ssd::Config::Small();
     pcfg.geometry.channels = 4;
-    ssd::ShardedRunConfig prun;
+    ssd::ShardedDeviceRun prun;
     prun.workers = 2;
-    prun.ios_per_channel = 5000;
+    prun.queue_depth = 64;
+    prun.total_ios = 20000;
+    prun.write_percent = 25;
+    prun.fill_fraction = 0.95;
     prun.observer = &profiler;
-    ssd::ShardedFlashSim shsim(pcfg, prun);
+    ssd::ShardedDeviceSim shsim(pcfg, prun);
     shsim.Run();
 
     Table shards({"shard", "role", "utilization", "busy", "idle",

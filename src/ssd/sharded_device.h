@@ -20,8 +20,8 @@ namespace postblock::ssd {
 /// mix at fixed queue depth) driving the full ssd::Device — FTL, GC,
 /// write buffer, reliability ladder included — on a ShardPlan-derived
 /// sharded engine. Identical parameters must commit an identical
-/// schedule at every worker count; gate 10 and the sharded-device test
-/// hold ModelFingerprint()/CombinedFingerprint() to that.
+/// schedule at every worker count; gates 7 and 10 and the sharded-device
+/// test hold ModelFingerprint()/CombinedFingerprint() to that.
 struct ShardedDeviceRun {
   std::uint32_t workers = 0;  // 0 = the sequential reference loop
   /// Seam price added on top of controller overhead on both edges
@@ -39,6 +39,10 @@ struct ShardedDeviceRun {
   /// controller ring. Their contents fold into ModelFingerprint(), so
   /// the digest gates also hold tracing to worker-count invariance.
   bool tracing = false;
+  /// Optional execution observer forwarded to the engine config
+  /// (obs::EngineProfiler). Read-only on the schedule; nullptr (the
+  /// default) keeps the engine wall-clock-free.
+  sim::EngineObserver* observer = nullptr;
 };
 
 /// Owns engine + router + device + host loop for one run. Build, call
@@ -67,7 +71,8 @@ class ShardedDeviceSim {
   /// equal digests.
   std::uint64_t ModelFingerprint() const;
   /// ModelFingerprint folded with the engine's committed-schedule
-  /// fingerprint — the witness gate 10 compares across worker counts.
+  /// fingerprint — the witness gates 7 and 10 compare across worker
+  /// counts.
   std::uint64_t CombinedFingerprint() const;
 
  private:

@@ -20,7 +20,7 @@
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
-#include "ssd/sharded_backend.h"
+#include "ssd/sharded_device.h"
 #include "trace/chrome_trace.h"
 #include "trace/trace.h"
 #include "trace/tracer.h"
@@ -36,12 +36,16 @@ ssd::Config EngineConfig() {
   return config;
 }
 
-ssd::ShardedRunConfig SmallRun(std::uint32_t workers,
+// The gate-7 workload shape (full ssd::Device, aged 95%, 25% writes)
+// at test scale: 1600 IOs at QD 32.
+ssd::ShardedDeviceRun SmallRun(std::uint32_t workers,
                                obs::EngineProfiler* profiler) {
-  ssd::ShardedRunConfig run;
+  ssd::ShardedDeviceRun run;
   run.workers = workers;
-  run.ios_per_channel = 400;
-  run.queue_depth_per_channel = 8;
+  run.queue_depth = 32;
+  run.total_ios = 1600;
+  run.write_percent = 25;
+  run.fill_fraction = 0.95;
   run.observer = profiler;
   return run;
 }
@@ -53,7 +57,7 @@ TEST(EngineProfilerTest, WallBucketsTileEveryWindowExactly) {
   pc.max_window_records = 1 << 20;  // retain every window of this run
   pc.sample_every = 1;              // exhaustive: observe all windows
   obs::EngineProfiler profiler(pc);
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(2, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(2, &profiler));
   sim.Run();
 
   ASSERT_GT(profiler.windows_observed(), 0u);
@@ -119,7 +123,7 @@ TEST(EngineProfilerTest, InlineWindowsRunOnWorkerZeroWithNoBarrierTime) {
     pc.max_window_records = 1 << 20;
     pc.sample_every = 1;
     obs::EngineProfiler profiler(pc);
-    ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(workers, &profiler));
+    ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(workers, &profiler));
     sim.Run();
     const sim::ShardedEngine& engine = *sim.engine();
 
@@ -171,13 +175,13 @@ TEST(EngineProfilerTest, SamplingObservesEveryNthWindowExactly) {
   obs::EngineProfilerConfig full;
   full.sample_every = 1;
   obs::EngineProfiler exhaustive(full);
-  ssd::ShardedFlashSim ref(EngineConfig(), SmallRun(0, &exhaustive));
+  ssd::ShardedDeviceSim ref(EngineConfig(), SmallRun(0, &exhaustive));
   ref.Run();
 
   obs::EngineProfilerConfig pc;
   pc.sample_every = 4;
   obs::EngineProfiler profiler(pc);
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(0, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(0, &profiler));
   sim.Run();
 
   // Sampling is invisible to the schedule...
@@ -203,14 +207,14 @@ TEST(EngineProfilerTest, SamplingObservesEveryNthWindowExactly) {
 }
 
 TEST(EngineProfilerTest, AttachingIsScheduleByteIdentical) {
-  ssd::ShardedFlashSim bare(EngineConfig(), SmallRun(0, nullptr));
+  ssd::ShardedDeviceSim bare(EngineConfig(), SmallRun(0, nullptr));
   bare.Run();
   const std::uint64_t want_fp = bare.CombinedFingerprint();
   const std::uint64_t want_ev = bare.engine()->events_executed();
 
   for (const std::uint32_t workers : {0u, 2u}) {
     obs::EngineProfiler profiler;
-    ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(workers, &profiler));
+    ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(workers, &profiler));
     sim.Run();
     EXPECT_EQ(sim.CombinedFingerprint(), want_fp) << "workers=" << workers;
     EXPECT_EQ(sim.engine()->events_executed(), want_ev)
@@ -220,7 +224,7 @@ TEST(EngineProfilerTest, AttachingIsScheduleByteIdentical) {
 
 TEST(EngineProfilerTest, ChromeJsonRoundTripsThroughTheReParser) {
   obs::EngineProfiler profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(2, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(2, &profiler));
   sim.Run();
 
   std::vector<trace::ParsedEvent> events;
@@ -248,7 +252,7 @@ TEST(EngineProfilerTest, ChromeJsonRoundTripsThroughTheReParser) {
 
 TEST(EngineProfilerTest, MergedJsonKeepsBothPidSpaces) {
   obs::EngineProfiler profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(0, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(0, &profiler));
   sim.Run();
 
   // A sim-time trace with one marker on a flash-pid track.
@@ -272,7 +276,7 @@ TEST(EngineProfilerTest, MergedJsonKeepsBothPidSpaces) {
 
 TEST(EngineProfilerTest, ReportJsonCarriesMetaAndTotals) {
   obs::EngineProfiler profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(0, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(0, &profiler));
   sim.Run();
   const ssd::Config config = EngineConfig();
   const std::string report =

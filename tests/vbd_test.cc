@@ -2,9 +2,8 @@
 // and quota enforcement (typed statuses), thin-read zero-fill, tenant
 // lifecycle under live traffic (destroy/disconnect/reconnect with
 // drain and cancel), destroy-then-recreate with no stale data, DRR QoS
-// sharing, 256-tenant run-twice determinism, per-tenant trace tracks
-// through the Chrome exporter round trip, and multi-tenant attribution
-// on the sharded parallel engine.
+// sharing, 256-tenant run-twice determinism, and per-tenant trace
+// tracks through the Chrome exporter round trip.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,7 +18,6 @@
 #include "blocklayer/simple_device.h"
 #include "metrics/metrics.h"
 #include "sim/simulator.h"
-#include "ssd/sharded_backend.h"
 #include "trace/chrome_trace.h"
 #include "trace/tracer.h"
 #include "vbd/backend.h"
@@ -552,37 +550,6 @@ TEST(VbdObservability, TenantTraceTracksRoundTripThroughExporter) {
   EXPECT_TRUE(alice_thread);
   EXPECT_EQ(alice_spans, 2u);
   EXPECT_EQ(bob_spans, 1u);
-}
-
-// --- Multi-tenant attribution on the sharded parallel engine ----------
-
-TEST(VbdSharded, MultiTenantAttributionDeterministicAcrossWorkers) {
-  ssd::Config device = ssd::Config::Small();
-  device.seed = 77;
-  auto run = [&](std::uint32_t workers) {
-    ssd::ShardedRunConfig rc;
-    rc.workers = workers;
-    rc.ios_per_channel = 600;
-    rc.queue_depth_per_channel = 8;
-    rc.tenant_weights = {3, 1, 1};
-    ssd::ShardedFlashSim sharded(device, rc);
-    sharded.Run();
-    // Attribution partitions the completions exactly.
-    std::uint64_t sum = 0;
-    for (std::size_t t = 0; t < rc.tenant_weights.size(); ++t) {
-      sum += sharded.tenant_completed(t);
-    }
-    EXPECT_EQ(sum, sharded.ios_completed());
-    // The weight-3 tenant got (close to) 3x the weight-1 tenants.
-    EXPECT_GT(sharded.tenant_completed(0),
-              2 * sharded.tenant_completed(1));
-    return sharded.CombinedFingerprint();
-  };
-  const std::uint64_t sequential = run(0);
-  const std::uint64_t parallel = run(2);
-  const std::uint64_t parallel_again = run(2);
-  EXPECT_EQ(sequential, parallel);
-  EXPECT_EQ(parallel, parallel_again);
 }
 
 }  // namespace
