@@ -1,19 +1,22 @@
 #include "ftl/append_ftl.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "flash/page_store.h"
+#include "host/command.h"
 
 namespace postblock::ftl {
 
 namespace {
-// Names are (generation, flat PPA): the low 40 bits address any page of
-// any geometry this repo simulates; the high bits carry the block's
-// erase count at program time. A recycled block bumps its erase count,
-// so every name issued before the erase goes stale *by construction* —
-// a dangling host name can never alias new data, only read NotFound.
-constexpr std::uint64_t kPpaBits = 40;
+// Names are (generation, flat PPA): the low host::kNameSlotBits bits
+// address any page of any geometry this repo simulates; the high bits
+// carry the block's erase count at program time. A recycled block bumps
+// its erase count, so every name issued before the erase goes stale
+// *by construction* — a dangling host name can never alias new data,
+// only read NotFound.
+constexpr std::uint64_t kPpaBits = host::kNameSlotBits;
 constexpr std::uint64_t kPpaMask = (1ull << kPpaBits) - 1;
 
 constexpr trace::Ctx kMigrateCtx{0, 0, trace::Origin::kGc};
@@ -302,6 +305,7 @@ void AppendFtl::NamelessFree(std::uint64_t name, WriteCallback cb,
   counters_.Increment("host_frees");
   (void)controller_->flash()->MarkInvalid(ppa);
   const std::uint64_t flat_block = FlatBlock(ppa.Block());
+  assert(live_count_[flat_block] > 0 && "live count would wrap");
   --live_count_[flat_block];
   --live_pages_;
   EraseIfDead(ppa.Block());
@@ -460,8 +464,21 @@ void AppendFtl::OnMigrateProgrammed(Status st) {
     AbortMigration();
     return;
   }
+  if (controller_->flash()->GetPageState(mig_.old_ppa) !=
+      flash::PageState::kValid) {
+    // The host freed the page while its copy was in flight. The free
+    // already took the victim's live count and the host no longer owns
+    // the name, so the copy is dead on arrival: drop it, with no count
+    // changes and no listener call.
+    counters_.Increment("migrate_copies_dropped");
+    (void)controller_->flash()->MarkInvalid(mig_.dst);
+    RelocateNext(mig_.victim, mig_.page + 1);
+    return;
+  }
   ++live_count_[mig_.dst_flat];
   (void)controller_->flash()->MarkInvalid(mig_.old_ppa);
+  assert(live_count_[FlatBlock(mig_.victim)] > 0 &&
+         "live count would wrap");
   --live_count_[FlatBlock(mig_.victim)];
   counters_.Increment("migrate_page_moves");
   const std::uint64_t new_gen =

@@ -51,6 +51,17 @@ enum class CommandKind : std::uint8_t {
 
 constexpr std::size_t kNumCommandKinds = 9;
 
+/// Layout of a device-issued name: its low kNameSlotBits bits are the
+/// physical page slot it occupies, the high bits are the device's own
+/// (the append FTL puts the block's erase generation there, so a name
+/// from before an erase never aliases the page's next life). A slot
+/// holds one page, so no two live names share one: a host may index
+/// per-name state densely by NameSlot(name), then check the full name.
+inline constexpr std::uint64_t kNameSlotBits = 40;
+inline constexpr std::uint64_t NameSlot(std::uint64_t name) {
+  return name & ((std::uint64_t{1} << kNameSlotBits) - 1);
+}
+
 inline const char* CommandKindName(CommandKind kind) {
   switch (kind) {
     case CommandKind::kRead:

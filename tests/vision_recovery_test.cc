@@ -348,6 +348,108 @@ TEST(AppendDeviceTest, CooperativeMigrationKeepsNamesReadable) {
   EXPECT_EQ(dev.append_ftl()->live_pages(), values.size());
 }
 
+TEST(AppendDeviceTest, FreeDuringMigrationCopyDropsTheCopy) {
+  // A host free that lands while its page's migration copy is in flight
+  // (read issued, program not yet complete) must win: the device drops
+  // the copy and reports no move for the dead name. The copy used to
+  // land anyway, reported under the freed name and counted twice
+  // against the victim block, whose live count then wrapped and let a
+  // later reclaim erase the block under a live host page.
+  sim::Simulator sim;
+  ssd::Device dev(&sim, AppendSsd());
+  core::NamelessStore store(&sim, &dev);
+  ASSERT_TRUE(store.device_supported());
+  const std::uint32_t pages_per_block =
+      dev.config().geometry.pages_per_block;
+  std::map<std::uint64_t, std::uint64_t> values;  // name -> token
+  int frees_in_flight = 0;
+  int frees_done = 0;
+  store.SetMigrationHandler([&](std::uint64_t old_name,
+                                std::uint64_t new_name) {
+    auto it = values.find(old_name);
+    ASSERT_NE(it, values.end()) << "migration callback for unknown name";
+    values.emplace(new_name, it->second);
+    values.erase(it);
+    if (frees_in_flight >= 10) return;
+    // The device has just issued the read of the victim's next live
+    // page: the lowest page above this one in the same block. Free it
+    // once that read is under way, before its copy can be programmed.
+    const std::uint64_t slot = host::NameSlot(old_name);
+    const std::uint64_t block = slot / pages_per_block;
+    std::uint64_t next = 0;
+    bool found = false;
+    for (const auto& [name, token] : values) {
+      const std::uint64_t s = host::NameSlot(name);
+      if (s / pages_per_block == block && s > slot &&
+          (!found || s < host::NameSlot(next))) {
+        next = name;
+        found = true;
+      }
+    }
+    if (!found) return;
+    ++frees_in_flight;
+    values.erase(next);
+    sim.Schedule(0, [&store, &frees_done, next] {
+      store.Free(next, [&frees_done](Status st) {
+        EXPECT_TRUE(st.ok()) << st;
+        ++frees_done;
+      });
+    });
+  });
+  auto write = [&](std::uint64_t token) {
+    bool fired = false;
+    store.Write(token, [&](StatusOr<std::uint64_t> r) {
+      ASSERT_TRUE(r.ok()) << r.status();
+      values.emplace(*r, token);
+      fired = true;
+    });
+    ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
+  };
+  const std::uint64_t capacity = dev.append_ftl()->user_pages();
+  std::uint64_t token = 1;
+  for (std::uint64_t i = 0; i < capacity * 6 / 10; ++i) write(token++);
+  for (int round = 0; round < 4; ++round) {
+    // Free every 4th live name (skipping any the handler already freed
+    // or the device renamed), then write replacements.
+    std::vector<std::uint64_t> names;
+    for (const auto& [n, t] : values) names.push_back(n);
+    std::size_t freed = 0;
+    for (std::size_t i = 0; i < names.size(); i += 4) {
+      if (values.count(names[i]) == 0) continue;
+      bool fired = false;
+      store.Free(names[i], [&](Status st) {
+        ASSERT_TRUE(st.ok()) << st;
+        fired = true;
+      });
+      ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
+      values.erase(names[i]);
+      ++freed;
+    }
+    for (std::size_t i = 0; i < freed; ++i) write(token++);
+  }
+  sim.Run();
+  const Counters& ftl = dev.append_ftl()->counters();
+  ASSERT_GT(frees_in_flight, 0) << "no migration ran";
+  EXPECT_EQ(frees_done, frees_in_flight);
+  EXPECT_GT(ftl.Get("migrate_copies_dropped"), 0u);
+  // No ghost: the device holds exactly the host's live pages, and every
+  // name the host holds reads back its own payload.
+  EXPECT_EQ(dev.append_ftl()->live_pages(), values.size());
+  EXPECT_EQ(dev.LiveNames().size(), values.size());
+  for (const auto& [name, expect] : values) {
+    std::uint64_t got = 0;
+    bool fired = false;
+    store.Read(name, [&](StatusOr<std::uint64_t> r) {
+      ASSERT_TRUE(r.ok()) << r.status();
+      got = *r;
+      fired = true;
+    });
+    ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
+    ASSERT_EQ(got, expect) << "name " << name;
+  }
+  EXPECT_EQ(ftl.Get("stale_name_reads"), 0u);
+}
+
 // --- Run-twice determinism ---------------------------------------------------
 
 std::string WorkloadDigest(Wiring wiring, bool append_device) {
