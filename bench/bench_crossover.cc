@@ -16,6 +16,9 @@
 //     runs (the post-block stack honors the schedule contract);
 //   - vision write amplification must undercut classic on this
 //     churn-heavy workload (the de-indirection claim, measured);
+//   - the vision side keeps its names straight: no device move reported
+//     for a name the host no longer holds ("stale_migrations") and no
+//     read of a stale name ("stale_name_reads");
 //   - the device-side L2P must shrink to per-block counters while both
 //     sides report their full mapping DRAM (device + host), so the
 //     footprint argument is a number, not an assertion. (On this
@@ -71,6 +74,13 @@ struct WiringResult {
   std::uint64_t device_map_bytes = 0;
   std::uint64_t host_map_bytes = 0;
   std::uint64_t sim_end_ns = 0;
+  // Name hygiene of the post-block stack (0 on the classic side): moves
+  // the device reported for names the host no longer held, reads of
+  // stale names, and migration copies dropped because the host freed
+  // the page while it was being copied.
+  std::uint64_t stale_migrations = 0;
+  std::uint64_t stale_name_reads = 0;
+  std::uint64_t migrate_copies_dropped = 0;
   std::string digest;
 };
 
@@ -148,6 +158,15 @@ WiringResult RunWiring(db::Wiring wiring) {
   r.host_map_bytes =
       manager.host_map() != nullptr ? manager.host_map()->MappingBytes() : 0;
   r.sim_end_ns = sim.Now();
+  if (manager.host_map() != nullptr) {
+    r.stale_migrations =
+        manager.host_map()->counters().Get("stale_migrations");
+  }
+  if (device.append_ftl() != nullptr) {
+    const Counters& ftl = device.append_ftl()->counters();
+    r.stale_name_reads = ftl.Get("stale_name_reads");
+    r.migrate_copies_dropped = ftl.Get("migrate_copies_dropped");
+  }
   std::ostringstream digest;
   digest << sim.Now() << ':' << manager.counters().Get("txns") << ':'
          << manager.counters().Get("checkpoints") << ':' << r.wa << ':'
@@ -235,12 +254,17 @@ int main() {
                    "\"commit_p99_ns\": %llu, "
                    "\"write_amplification\": %.4f, "
                    "\"device_map_bytes\": %llu, \"host_map_bytes\": %llu, "
-                   "\"sim_end_ns\": %llu},\n",
+                   "\"sim_end_ns\": %llu, \"stale_migrations\": %llu, "
+                   "\"stale_name_reads\": %llu, "
+                   "\"migrate_copies_dropped\": %llu},\n",
                    name, r.commit_mean_ns,
                    static_cast<unsigned long long>(r.commit_p99_ns), r.wa,
                    static_cast<unsigned long long>(r.device_map_bytes),
                    static_cast<unsigned long long>(r.host_map_bytes),
-                   static_cast<unsigned long long>(r.sim_end_ns));
+                   static_cast<unsigned long long>(r.sim_end_ns),
+                   static_cast<unsigned long long>(r.stale_migrations),
+                   static_cast<unsigned long long>(r.stale_name_reads),
+                   static_cast<unsigned long long>(r.migrate_copies_dropped));
     };
     wiring_json("classic", classic);
     wiring_json("vision", vision);

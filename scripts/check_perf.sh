@@ -71,7 +71,9 @@
 #      classic commit latency, and both sides must report their
 #      mapping DRAM (classic device L2P > 0, vision host map > 0)
 #      with the vision device's translation state smaller than the
-#      classic L2P. All sim-time observables — exact, no retry.
+#      classic L2P, and the vision side must report zero
+#      stale_migrations (HostMap) and zero stale_name_reads (device).
+#      All sim-time observables — exact, no retry.
 #
 # Wall-clock gates (1, 2, 3, 4, 5, 9) are measured numbers and therefore
 # retried best-of-3 (gate_with_retry): a failed attempt re-runs the
@@ -655,6 +657,18 @@ if vwa >= cwa:
     failures.append(
         f"vision WA {vwa:.3f} >= classic WA {cwa:.3f}: host-declared "
         "liveness failed to beat hidden GC")
+
+# Name hygiene: the host map must never hear of a move for a name it no
+# longer holds, and never read a stale name. Either one is how a freed
+# page's migration copy used to become an unfreeable ghost and, later, a
+# live page erased under the host.
+for key in ("stale_migrations", "stale_name_reads"):
+    if key not in vision:
+        failures.append(f"vision record lacks {key}")
+    elif vision[key] != 0:
+        failures.append(
+            f"vision {key} = {vision[key]} (want 0): the host map and "
+            "the device disagree about which names are live")
 
 # Commit latency: the PCM sync path vs padded log blocks + flush.
 cl = classic.get("commit_mean_ns", 0.0)

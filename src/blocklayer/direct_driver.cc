@@ -15,57 +15,70 @@ DirectDriver::DirectDriver(sim::Simulator* sim, BlockDevice* lower,
 
 void DirectDriver::Submit(IoRequest request) {
   counters_.Increment("submitted");
-  SubmitAttempt(std::move(request), sim_->Now(), 1);
+  Attempt* op = attempts_.Acquire();
+  op->user_cb = std::move(request.on_complete);
+  op->request = std::move(request);
+  op->start = sim_->Now();
+  op->attempt = 1;
+  SubmitAttempt(op);
 }
 
-void DirectDriver::SubmitAttempt(IoRequest request, SimTime start,
-                                 std::uint32_t attempt) {
+void DirectDriver::SubmitAttempt(Attempt* op) {
   const std::uint64_t epoch = epoch_;
-  IoCallback user_cb = std::move(request.on_complete);
-  // Resubmission parameters, captured before `request` is moved below.
-  const IoOp op = request.op;
-  const Lba lba = request.lba;
-  const std::uint32_t nblocks = request.nblocks;
-  const std::uint8_t priority = request.priority;
-  const trace::SpanId span = request.span;
-  request.on_complete = [this, start, epoch, op, lba, nblocks, priority,
-                         span, attempt, user_cb = std::move(user_cb)](
-                            const IoResult& result) mutable {
+  auto done = [this, op, epoch](const IoResult& result) {
     if (epoch != epoch_) return;
-    // EIO retry: a read that still fails after the device's internal
-    // ladder gets a bounded, backed-off resubmission (full attempt,
-    // including submit CPU — the user-space driver really re-polls).
-    if (op == IoOp::kRead && result.status.IsDataLoss() &&
-        attempt < retry_.max_attempts) {
-      counters_.Increment("eio_retries");
-      IoRequest r;
-      r.op = op;
-      r.lba = lba;
-      r.nblocks = nblocks;
-      r.priority = priority;
-      r.span = span;
-      r.on_complete = std::move(user_cb);
-      sim_->Schedule(retry_.backoff_ns << (attempt - 1),
-                     [this, start, attempt, r = std::move(r)]() mutable {
-                       SubmitAttempt(std::move(r), start, attempt + 1);
-                     });
-      return;
-    }
-    if (!result.status.ok()) counters_.Increment("io_errors");
-    cpu_res_.UseFor(cpu_.polled_ns,
-                    [this, start, epoch, user_cb = std::move(user_cb),
-                     result]() {
-                      if (epoch != epoch_) return;
-                      latency_.Record(sim_->Now() - start);
-                      counters_.Increment("completed");
-                      if (user_cb) user_cb(result);
-                    });
+    OnDeviceDone(op, result);
   };
-  cpu_res_.UseFor(cpu_.submit_ns,
-                  [this, epoch, request = std::move(request)]() mutable {
-                    if (epoch != epoch_) return;
-                    lower_->Submit(std::move(request));
-                  });
+  static_assert(IoCallback::fits<decltype(done)>());
+  op->request.on_complete = std::move(done);
+  auto submit = [this, op, epoch]() {
+    if (epoch != epoch_) return;
+    lower_->Submit(std::move(op->request));
+  };
+  static_assert(sim::InplaceCallback::fits<decltype(submit)>());
+  cpu_res_.UseFor(cpu_.submit_ns, std::move(submit));
+}
+
+void DirectDriver::OnDeviceDone(Attempt* op, const IoResult& result) {
+  // EIO retry: a read that still fails after the device's internal
+  // ladder gets a bounded, backed-off resubmission (full attempt,
+  // including submit CPU — the user-space driver really re-polls).
+  if (op->request.op == IoOp::kRead && result.status.IsDataLoss() &&
+      op->attempt < retry_.max_attempts) {
+    counters_.Increment("eio_retries");
+    // The device took the request by move; resubmit a fresh one with
+    // the fields a read retry carries.
+    IoRequest r;
+    r.op = op->request.op;
+    r.lba = op->request.lba;
+    r.nblocks = op->request.nblocks;
+    r.priority = op->request.priority;
+    r.span = op->request.span;
+    op->request = std::move(r);
+    const std::uint64_t epoch = epoch_;
+    sim_->Schedule(retry_.backoff_ns << (op->attempt - 1),
+                   [this, op, epoch]() {
+                     if (epoch != epoch_) return;
+                     ++op->attempt;
+                     SubmitAttempt(op);
+                   });
+    return;
+  }
+  if (!result.status.ok()) counters_.Increment("io_errors");
+  op->result = result;
+  const std::uint64_t epoch = epoch_;
+  auto polled = [this, op, epoch]() {
+    if (epoch != epoch_) return;
+    latency_.Record(sim_->Now() - op->start);
+    counters_.Increment("completed");
+    IoCallback user_cb = std::move(op->user_cb);
+    const IoResult result = std::move(op->result);
+    op->request = IoRequest{};
+    attempts_.Recycle(op);
+    if (user_cb) user_cb(result);
+  };
+  static_assert(sim::InplaceCallback::fits<decltype(polled)>());
+  cpu_res_.UseFor(cpu_.polled_ns, std::move(polled));
 }
 
 void DirectDriver::Execute(host::Command cmd) {

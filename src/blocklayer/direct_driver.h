@@ -8,6 +8,7 @@
 #include "common/histogram.h"
 #include "common/stats.h"
 #include "metrics/metrics.h"
+#include "sim/object_pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -52,18 +53,35 @@ class DirectDriver : public BlockDevice {
   const Histogram& latency() const { return latency_; }
   double CpuUtilization() const { return cpu_res_.Utilization(); }
 
-  /// Simulates power loss / host reset: in-flight requests are dropped.
-  void PowerCycle() { ++epoch_; }
+  /// Simulates power loss / host reset: in-flight requests are dropped
+  /// (their callbacks never run).
+  void PowerCycle() {
+    ++epoch_;
+    attempts_.ReleaseAll();
+  }
 
   /// Registers this driver's time-series streams (polled-only — the
   /// driver's hot path stays untouched). Call once per registry.
   void RegisterMetrics(metrics::MetricRegistry* m);
 
  private:
-  /// One device submission; re-entered (with the same `start`) by the
-  /// EIO retry path when a read comes back DataLoss.
-  void SubmitAttempt(IoRequest request, SimTime start,
-                     std::uint32_t attempt);
+  /// One request from submission to completion, pooled. Every
+  /// continuation (submit CPU, device completion, polled completion,
+  /// retry backoff) captures {this, op, epoch}; the request rides in the
+  /// op while it waits for the CPU, and the device's result while it
+  /// waits for the poll.
+  struct Attempt {
+    IoRequest request;
+    IoCallback user_cb;
+    IoResult result;
+    SimTime start = 0;
+    std::uint32_t attempt = 1;
+  };
+
+  /// One device submission of `op->request`; re-entered (with the same
+  /// `start`) by the EIO retry path when a read comes back DataLoss.
+  void SubmitAttempt(Attempt* op);
+  void OnDeviceDone(Attempt* op, const IoResult& result);
 
   sim::Simulator* sim_;
   BlockDevice* lower_;
@@ -71,6 +89,7 @@ class DirectDriver : public BlockDevice {
   sim::Resource cpu_res_;
   IoRetryPolicy retry_;
   std::uint64_t epoch_ = 0;
+  sim::ObjectPool<Attempt> attempts_;
   Histogram latency_;
   Counters counters_;
 };

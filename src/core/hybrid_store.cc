@@ -25,31 +25,30 @@ void HybridStore::set_tracer(trace::Tracer* tracer) {
   }
 }
 
-void HybridStore::SyncPersist(std::vector<std::uint8_t> record,
-                              std::function<void(Status)> cb,
-                              trace::Ctx ctx) {
-  const SimTime start = sim_->Now();
+void HybridStore::SyncPersist(const std::vector<std::uint8_t>& record,
+                              StatusCb cb, trace::Ctx ctx) {
   counters_.Increment("sync_persists");
   counters_.Add("sync_bytes", record.size());
+  PersistOp* op = persists_.Acquire();
+  op->start = sim_->Now();
+  op->cb = std::move(cb);
   // Trace identity of this persist: inherit the caller's span or mint
   // one, and record the whole commit-critical path as a kApp span when
   // it completes. Classic mode threads the span through the write+flush
   // below, so the trace shows what the block stack cost the commit.
-  trace::SpanId span = ctx.span;
-  if (tracer_ != nullptr && tracer_->enabled() && span == 0) {
-    span = tracer_->NewSpan();
+  op->span = ctx.span;
+  if (tracer_ != nullptr && tracer_->enabled() && op->span == 0) {
+    op->span = tracer_->NewSpan();
   }
+  const std::uint64_t epoch = epoch_;
   if (pcm_log_ != nullptr) {
-    pcm_log_->Append(
-        std::move(record),
-        [this, start, span, cb = std::move(cb)](StatusOr<Lsn> r) {
-          sync_latency_.Record(sim_->Now() - start);
-          if (tracer_ != nullptr && span != 0) {
-            tracer_->Record(trace::Stage::kApp, trace::Origin::kHostWrite,
-                            span, 0, track_, start, sim_->Now());
-          }
-          cb(r.ok() ? Status::Ok() : r.status());
-        });
+    auto appended = [this, op, epoch](StatusOr<Lsn> r) {
+      if (epoch != epoch_) return;
+      FinishPersist(op, r.ok() ? Status::Ok() : r.status(),
+                    /*traced=*/true);
+    };
+    static_assert(PcmLog::AppendCallback::fits<decltype(appended)>());
+    pcm_log_->Append(record, std::move(appended));
     return;
   }
   // Classic: one whole log block per record (the interface has no
@@ -59,52 +58,67 @@ void HybridStore::SyncPersist(std::vector<std::uint8_t> record,
                 data_path_->block_bytes() > record.size()
                     ? data_path_->block_bytes() - record.size()
                     : 0);
-  const Lba lba =
-      log_region_start_ + (log_head_block_++ % log_region_blocks_);
-  const std::uint64_t token = next_log_token_++;
+  op->lba = log_region_start_ + (log_head_block_++ % log_region_blocks_);
+  op->token = next_log_token_++;
+  op->record.assign(record.begin(), record.end());
   blocklayer::IoRequest write;
   write.op = blocklayer::IoOp::kWrite;
-  write.lba = lba;
+  write.lba = op->lba;
   write.nblocks = 1;
-  write.tokens = {token};
+  write.tokens = {op->token};
   // Commit-critical: jumps lazy page flushes under a priority scheduler
   // (ref [13]).
   write.priority = 1;
   write.stream = wal_stream_;
-  write.span = span;
-  auto record_ptr =
-      std::make_shared<std::vector<std::uint8_t>>(std::move(record));
-  write.on_complete = [this, start, span, lba, token, record_ptr,
-                       cb = std::move(cb)](
-                          const blocklayer::IoResult& wr) mutable {
-    if (!wr.status.ok()) {
-      sync_latency_.Record(sim_->Now() - start);
-      cb(wr.status);
-      return;
-    }
-    blocklayer::IoRequest flush;
-    flush.op = blocklayer::IoOp::kFlush;
-    flush.nblocks = 1;
-    flush.stream = wal_stream_;
-    flush.span = span;
-    flush.on_complete = [this, start, span, lba, token, record_ptr,
-                         cb = std::move(cb)](
-                            const blocklayer::IoResult& fr) {
-      sync_latency_.Record(sim_->Now() - start);
-      if (tracer_ != nullptr && span != 0) {
-        tracer_->Record(trace::Stage::kApp, trace::Origin::kHostWrite,
-                        span, 0, track_, start, sim_->Now());
-      }
-      if (fr.status.ok()) {
-        // The record is now beyond the volatile cache: durable.
-        classic_durable_.push_back(std::move(*record_ptr));
-        classic_slots_.push_back(ClassicLogSlot{lba, token});
-      }
-      cb(fr.status);
-    };
-    data_path_->Submit(std::move(flush));
+  write.span = op->span;
+  auto written = [this, op, epoch](const blocklayer::IoResult& wr) {
+    if (epoch != epoch_) return;
+    OnClassicWrite(op, wr);
   };
+  static_assert(blocklayer::IoCallback::fits<decltype(written)>());
+  write.on_complete = std::move(written);
   data_path_->Submit(std::move(write));
+}
+
+void HybridStore::OnClassicWrite(PersistOp* op,
+                                 const blocklayer::IoResult& wr) {
+  if (!wr.status.ok()) {
+    FinishPersist(op, wr.status, /*traced=*/false);
+    return;
+  }
+  blocklayer::IoRequest flush;
+  flush.op = blocklayer::IoOp::kFlush;
+  flush.nblocks = 1;
+  flush.stream = wal_stream_;
+  flush.span = op->span;
+  const std::uint64_t epoch = epoch_;
+  flush.on_complete = [this, op, epoch](const blocklayer::IoResult& fr) {
+    if (epoch != epoch_) return;
+    if (fr.status.ok()) {
+      // The record is now beyond the volatile cache: durable.
+      classic_durable_.push_back(std::move(op->record));
+      classic_slots_.push_back(ClassicLogSlot{op->lba, op->token});
+    }
+    FinishPersist(op, fr.status, /*traced=*/true);
+  };
+  data_path_->Submit(std::move(flush));
+}
+
+void HybridStore::FinishPersist(PersistOp* op, Status st, bool traced) {
+  sync_latency_.Record(sim_->Now() - op->start);
+  if (traced && tracer_ != nullptr && op->span != 0) {
+    tracer_->Record(trace::Stage::kApp, trace::Origin::kHostWrite, op->span,
+                    0, track_, op->start, sim_->Now());
+  }
+  StatusCb cb = std::move(op->cb);
+  op->record.clear();
+  persists_.Recycle(op);
+  cb(std::move(st));
+}
+
+void HybridStore::PowerCycle() {
+  ++epoch_;
+  persists_.ReleaseAll();
 }
 
 std::vector<std::vector<std::uint8_t>> HybridStore::DurableRecords() const {
@@ -112,8 +126,7 @@ std::vector<std::vector<std::uint8_t>> HybridStore::DurableRecords() const {
   return classic_durable_;
 }
 
-void HybridStore::RecoverRecords(
-    std::function<void(std::vector<std::vector<std::uint8_t>>)> cb) {
+void HybridStore::RecoverRecords(RecordsCb cb) {
   if (pcm_log_ != nullptr) {
     auto records = pcm_log_->RecoverAll();
     sim_->Schedule(0, [cb = std::move(cb),
@@ -156,7 +169,7 @@ void HybridStore::RecoverStep(std::unique_ptr<RecoveryScan> scan) {
   data_path_->Submit(std::move(read));
 }
 
-void HybridStore::TruncateLog(std::function<void(Status)> cb) {
+void HybridStore::TruncateLog(StatusCb cb) {
   if (pcm_log_ != nullptr) {
     pcm_log_->Truncate(std::move(cb));
     return;

@@ -2,7 +2,6 @@
 #define POSTBLOCK_CORE_HYBRID_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -11,6 +10,8 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "core/pcm_log.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
 #include "trace/tracer.h"
@@ -36,6 +37,10 @@ namespace postblock::core {
 /// software queues.
 class HybridStore : public host::HostInterface {
  public:
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using RecordsCb =
+      sim::InplaceFunction<void(std::vector<std::vector<std::uint8_t>>)>;
+
   /// Vision wiring: sync -> PCM log, async -> `data_path`.
   HybridStore(sim::Simulator* sim, blocklayer::BlockDevice* data_path,
               PcmLog* pcm_log);
@@ -51,12 +56,17 @@ class HybridStore : public host::HostInterface {
 
   bool vision_mode() const { return pcm_log_ != nullptr; }
 
-  /// Durably persists one record; callback fires when it would survive
-  /// power loss. `ctx` is the caller's trace identity (a WAL commit,
-  /// say); with a tracer attached the whole persist — including the
-  /// block-device write+flush of classic mode — becomes one kApp span.
-  void SyncPersist(std::vector<std::uint8_t> record,
-                   std::function<void(Status)> cb, trace::Ctx ctx = {});
+  /// Durably persists one record (copied; the caller keeps `record`);
+  /// callback fires when it would survive power loss. `ctx` is the
+  /// caller's trace identity (a WAL commit, say); with a tracer attached
+  /// the whole persist — including the block-device write+flush of
+  /// classic mode — becomes one kApp span.
+  void SyncPersist(const std::vector<std::uint8_t>& record, StatusCb cb,
+                   trace::Ctx ctx = {});
+
+  /// Power loss: every persist in flight is dropped (its callback never
+  /// runs; the log below loses it too). Call with the log's own reset.
+  void PowerCycle();
 
   /// Attaches latency attribution: sync persists are recorded on a
   /// "sync-persist" track, and classic-mode log IOs carry the persist's
@@ -107,11 +117,10 @@ class HybridStore : public host::HostInterface {
   /// are dropped, i.e. the log truncates at the first bad record
   /// instead of replaying past a hole. Vision mode completes with the
   /// PCM log as-is (the memory bus path has no flash error model).
-  void RecoverRecords(
-      std::function<void(std::vector<std::vector<std::uint8_t>>)> cb);
+  void RecoverRecords(RecordsCb cb);
 
   /// Resets the log after a checkpoint. Durable when the callback fires.
-  void TruncateLog(std::function<void(Status)> cb);
+  void TruncateLog(StatusCb cb);
 
   blocklayer::BlockDevice* data_path() { return data_path_; }
   PcmLog* pcm_log() { return pcm_log_; }
@@ -120,12 +129,29 @@ class HybridStore : public host::HostInterface {
   const Counters& counters() const { return counters_; }
 
  private:
+  /// One sync persist in flight, pooled; the log append's (or the
+  /// classic write's and flush's) completion captures {this, op, epoch}.
+  struct PersistOp {
+    SimTime start = 0;
+    trace::SpanId span = 0;
+    // Classic mode: where the record's log block lands, and the record
+    // itself (kept until the flush makes it durable).
+    Lba lba = 0;
+    std::uint64_t token = 0;
+    std::vector<std::uint8_t> record;
+    StatusCb cb;
+  };
+  /// Ends a persist: latency (and trace span) recorded when `traced`,
+  /// the op recycled, then the caller's callback.
+  void FinishPersist(PersistOp* op, Status st, bool traced);
+  void OnClassicWrite(PersistOp* op, const blocklayer::IoResult& wr);
+
   /// One classic-log recovery scan. The pending read's completion owns
   /// it, so the scan is released with its last callback.
   struct RecoveryScan {
     std::size_t index = 0;
     std::vector<std::vector<std::uint8_t>> out;
-    std::function<void(std::vector<std::vector<std::uint8_t>>)> cb;
+    RecordsCb cb;
   };
   /// Verifies the scan's next record (or completes the scan).
   void RecoverStep(std::unique_ptr<RecoveryScan> scan);
@@ -153,6 +179,9 @@ class HybridStore : public host::HostInterface {
     std::uint64_t token = 0;
   };
   std::vector<ClassicLogSlot> classic_slots_;
+
+  std::uint64_t epoch_ = 0;
+  sim::ObjectPool<PersistOp> persists_;
 
   Histogram sync_latency_;
   Counters counters_;

@@ -1,5 +1,6 @@
 #include "core/pcm_log.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -10,64 +11,87 @@ PcmLog::PcmLog(sim::Simulator* sim, pcm::PcmDevice* pcm,
     : sim_(sim), pcm_(pcm), region_off_(region_off),
       region_len_(region_len) {}
 
-void PcmLog::Append(std::vector<std::uint8_t> payload,
-                    std::function<void(StatusOr<Lsn>)> cb) {
-  queue_.push_back(
-      PendingAppend{std::move(payload), std::move(cb), sim_->Now()});
+void PcmLog::Append(const std::vector<std::uint8_t>& payload,
+                    AppendCallback cb) {
+  PendingAppend* a = appends_.Acquire();
+  // The header is stamped at issue (LSN and sequence are assigned in
+  // queue order); the trailing header stays zero as the new terminator.
+  a->store.assign(kHeaderBytes + payload.size() + kHeaderBytes, 0);
+  std::copy(payload.begin(), payload.end(), a->store.begin() + kHeaderBytes);
+  a->cb = std::move(cb);
+  a->enqueued_at = sim_->Now();
+  queue_.push_back(a);
   PumpQueue();
 }
 
 void PcmLog::PumpQueue() {
-  if (store_in_flight_ || queue_.empty()) return;
-  PendingAppend item = std::move(queue_.front());
-  queue_.pop_front();
+  if (store_in_flight_ || queue_head_ == queue_.size()) return;
+  PendingAppend* a = queue_[queue_head_++];
+  if (queue_head_ == queue_.size()) {
+    queue_.clear();
+    queue_head_ = 0;
+  }
 
-  const std::uint64_t need =
-      kHeaderBytes + item.payload.size() + kHeaderBytes;
+  const std::uint64_t need = a->store.size();
   if (head_ + need > region_len_) {
     counters_.Increment("append_full");
-    sim_->Schedule(0, [this, cb = std::move(item.cb)]() {
+    const std::uint64_t epoch = epoch_;
+    sim_->Schedule(0, [this, a, epoch]() {
+      if (epoch != epoch_) return;
+      AppendCallback cb = std::move(a->cb);
+      Recycle(a);
       cb(Status::ResourceExhausted("pcm log region full"));
       PumpQueue();
     });
     return;
   }
-  const Lsn lsn = head_;
-  const std::uint32_t len = static_cast<std::uint32_t>(item.payload.size());
+  const std::uint32_t len =
+      static_cast<std::uint32_t>(need - 2 * kHeaderBytes);
   const std::uint32_t rec_seq = next_rec_seq_++;
+  a->lsn = head_;
 
   // One store covers header + payload + the new zero terminator; the
   // next append overwrites that terminator in place (no erase on PCM).
-  std::vector<std::uint8_t> buf(
-      kHeaderBytes + item.payload.size() + kHeaderBytes, 0);
-  std::memcpy(buf.data(), &len, sizeof(len));
-  std::memcpy(buf.data() + sizeof(len), &rec_seq, sizeof(rec_seq));
-  std::memcpy(buf.data() + kHeaderBytes, item.payload.data(),
-              item.payload.size());
-  head_ += kHeaderBytes + item.payload.size();
+  std::memcpy(a->store.data(), &len, sizeof(len));
+  std::memcpy(a->store.data() + sizeof(len), &rec_seq, sizeof(rec_seq));
+  head_ += kHeaderBytes + len;
 
   counters_.Increment("appends");
-  counters_.Add("bytes_appended", item.payload.size());
+  counters_.Add("bytes_appended", len);
   store_in_flight_ = true;
-  pcm_->Write(region_off_ + lsn, std::move(buf),
-              [this, lsn, start = item.enqueued_at,
-               cb = std::move(item.cb)](Status st) {
-                store_in_flight_ = false;
-                append_latency_.Record(sim_->Now() - start);
-                if (!st.ok()) {
-                  cb(std::move(st));
-                } else {
-                  cb(lsn);
-                }
-                PumpQueue();
-              });
+  const std::uint64_t epoch = epoch_;
+  auto stored = [this, a, epoch](Status st) {
+    if (epoch != epoch_) return;
+    OnStored(a, std::move(st));
+  };
+  static_assert(pcm::PcmDevice::DoneCallback::fits<decltype(stored)>());
+  pcm_->Write(region_off_ + a->lsn, a->store, std::move(stored));
 }
 
-void PcmLog::Truncate(std::function<void(Status)> cb) {
+void PcmLog::OnStored(PendingAppend* a, Status st) {
+  store_in_flight_ = false;
+  append_latency_.Record(sim_->Now() - a->enqueued_at);
+  const Lsn lsn = a->lsn;
+  AppendCallback cb = std::move(a->cb);
+  Recycle(a);
+  if (!st.ok()) {
+    cb(std::move(st));
+  } else {
+    cb(lsn);
+  }
+  PumpQueue();
+}
+
+void PcmLog::Recycle(PendingAppend* a) {
+  a->store.clear();
+  a->cb = nullptr;
+  appends_.Recycle(a);
+}
+
+void PcmLog::Truncate(DoneCallback cb) {
   head_ = 0;
   counters_.Increment("truncates");
-  std::vector<std::uint8_t> zero(kHeaderBytes, 0);
-  pcm_->Write(region_off_, std::move(zero), std::move(cb));
+  pcm_->Write(region_off_, terminator_, std::move(cb));
 }
 
 std::vector<std::vector<std::uint8_t>> PcmLog::RecoverAll() const {
@@ -92,7 +116,10 @@ std::vector<std::vector<std::uint8_t>> PcmLog::RecoverAll() const {
 }
 
 void PcmLog::ResetAfterCrash() {
+  ++epoch_;
   queue_.clear();
+  queue_head_ = 0;
+  appends_.ReleaseAll();
   store_in_flight_ = false;
   // Rewind the head to the durable chain's end.
   std::uint64_t off = 0;

@@ -1,7 +1,7 @@
 #include "db/btree.h"
 
 #include <cstring>
-#include <memory>
+#include <string>
 
 namespace postblock::db {
 
@@ -183,8 +183,7 @@ std::uint64_t SplitNode(Frame* left, Frame* right) {
 
 }  // namespace
 
-BTree::BTree(sim::Simulator* sim, BufferPool* pool,
-             std::function<PageId()> alloc_page)
+BTree::BTree(sim::Simulator* sim, BufferPool* pool, PageAllocator alloc_page)
     : sim_(sim), pool_(pool), alloc_page_(std::move(alloc_page)) {}
 
 void BTree::Create(StatusCb cb) {
@@ -210,122 +209,145 @@ void BTree::Put(std::uint64_t key, std::uint64_t value, StatusCb cb) {
     });
     return;
   }
+  PutOp* op = puts_.Acquire();
+  op->key = key;
+  op->value = value;
+  op->cb = std::move(cb);
+  StartPut(op);
+}
+
+void BTree::StartPut(PutOp* op) {
   counters_.Increment("puts");
-  pool_->Pin(root_, [this, key, value,
-                     cb = std::move(cb)](StatusOr<Frame*> f) mutable {
-    if (!f.ok()) {
-      cb(f.status());
-      return;
-    }
-    if (IsFull(*f)) {
-      SplitRootAndRetryPut(*f, key, value, std::move(cb));
-      return;
-    }
-    DescendPut(*f, key, value, std::move(cb));
-  });
+  auto pinned = [this, op](StatusOr<Frame*> f) {
+    OnRootPinned(op, std::move(f));
+  };
+  static_assert(BufferPool::PinCallback::fits<decltype(pinned)>());
+  pool_->Pin(root_, std::move(pinned));
 }
 
-void BTree::SplitRootAndRetryPut(Frame* root, std::uint64_t key,
-                                 std::uint64_t value, StatusCb cb) {
-  counters_.Increment("root_splits");
-  const PageId sibling_id = alloc_page_();
-  const PageId new_root_id = alloc_page_();
-  pool_->Pin(sibling_id, [this, root, sibling_id, new_root_id, key, value,
-                          cb = std::move(cb)](StatusOr<Frame*> s) mutable {
-    if (!s.ok()) {
-      pool_->Unpin(root->id, false);
-      cb(s.status());
-      return;
-    }
-    Frame* sibling = *s;
-    const std::uint64_t separator = SplitNode(root, sibling);
-    pool_->Pin(new_root_id,
-               [this, root, sibling, sibling_id, new_root_id, separator,
-                key, value, cb = std::move(cb)](StatusOr<Frame*> nr) mutable {
-                 if (!nr.ok()) {
-                   pool_->Unpin(root->id, true);
-                   pool_->Unpin(sibling->id, true);
-                   cb(nr.status());
-                   return;
-                 }
-                 Frame* new_root = *nr;
-                 FormatInternal(new_root);
-                 SetInternalChild(new_root, 0, root->id);
-                 SetInternalKey(new_root, 0, separator);
-                 SetInternalChild(new_root, 1, sibling_id);
-                 SetNodeCount(new_root, 1);
-                 root_ = new_root_id;
-                 pool_->Unpin(root->id, true);
-                 pool_->Unpin(sibling->id, true);
-                 pool_->Unpin(new_root_id, true);
-                 Put(key, value, std::move(cb));
-               });
-  });
-}
-
-void BTree::SplitChild(Frame* parent, std::uint32_t child_index,
-                       Frame* child, StatusCb on_done) {
-  counters_.Increment("node_splits");
-  const PageId sibling_id = alloc_page_();
-  pool_->Pin(sibling_id, [this, parent, child_index, child, sibling_id,
-                          on_done = std::move(on_done)](
-                             StatusOr<Frame*> s) mutable {
-    if (!s.ok()) {
-      pool_->Unpin(child->id, false);
-      on_done(s.status());
-      return;
-    }
-    Frame* sibling = *s;
-    const std::uint64_t separator = SplitNode(child, sibling);
-    InternalInsertAfter(parent, child_index, separator, sibling_id);
-    pool_->MarkDirty(parent->id);
-    pool_->Unpin(child->id, true);
-    pool_->Unpin(sibling_id, true);
-    on_done(Status::Ok());
-  });
-}
-
-void BTree::DescendPut(Frame* node, std::uint64_t key, std::uint64_t value,
-                       StatusCb cb) {
-  // `node` is pinned and guaranteed non-full.
-  if (NodeType(node) == PageType::kBTreeLeaf) {
-    const std::uint32_t pos = LeafLowerBound(node, key);
-    if (pos < NodeCount(node) && LeafKey(node, pos) == key) {
-      SetLeafEntry(node, pos, key, value);  // overwrite
-    } else {
-      LeafInsertAt(node, pos, key, value);
-    }
-    pool_->Unpin(node->id, /*dirty=*/true);
-    cb(Status::Ok());
+void BTree::OnRootPinned(PutOp* op, StatusOr<Frame*> f) {
+  if (!f.ok()) {
+    FinishPut(op, f.status());
     return;
   }
-  const std::uint32_t idx = InternalFindIndex(node, key);
-  const PageId child_id = InternalChild(node, idx);
-  pool_->Pin(child_id, [this, node, idx, key, value,
-                        cb = std::move(cb)](StatusOr<Frame*> c) mutable {
-    if (!c.ok()) {
-      pool_->Unpin(node->id, false);
-      cb(c.status());
-      return;
-    }
-    Frame* child = *c;
-    if (IsFull(child)) {
-      // Preemptive split (parent is non-full by induction), then try
-      // this level again — the key may now belong in the new sibling.
-      SplitChild(node, idx, child, [this, node, key, value,
-                                    cb = std::move(cb)](Status st) mutable {
-        if (!st.ok()) {
-          pool_->Unpin(node->id, true);
-          cb(std::move(st));
-          return;
-        }
-        DescendPut(node, key, value, std::move(cb));
-      });
-      return;
-    }
-    pool_->Unpin(node->id, false);
-    DescendPut(child, key, value, std::move(cb));
+  op->node = *f;
+  if (IsFull(op->node)) {
+    SplitRoot(op);
+    return;
+  }
+  DescendPut(op, op->node);
+}
+
+void BTree::SplitRoot(PutOp* op) {
+  counters_.Increment("root_splits");
+  op->sibling_id = alloc_page_();
+  op->new_root_id = alloc_page_();
+  pool_->Pin(op->sibling_id, [this, op](StatusOr<Frame*> s) {
+    OnRootSiblingPinned(op, std::move(s));
   });
+}
+
+void BTree::OnRootSiblingPinned(PutOp* op, StatusOr<Frame*> s) {
+  if (!s.ok()) {
+    pool_->Unpin(op->node->id, false);
+    FinishPut(op, s.status());
+    return;
+  }
+  op->sibling = *s;
+  op->separator = SplitNode(op->node, op->sibling);
+  pool_->Pin(op->new_root_id, [this, op](StatusOr<Frame*> nr) {
+    OnNewRootPinned(op, std::move(nr));
+  });
+}
+
+void BTree::OnNewRootPinned(PutOp* op, StatusOr<Frame*> nr) {
+  Frame* root = op->node;
+  if (!nr.ok()) {
+    pool_->Unpin(root->id, true);
+    pool_->Unpin(op->sibling->id, true);
+    FinishPut(op, nr.status());
+    return;
+  }
+  Frame* new_root = *nr;
+  FormatInternal(new_root);
+  SetInternalChild(new_root, 0, root->id);
+  SetInternalKey(new_root, 0, op->separator);
+  SetInternalChild(new_root, 1, op->sibling_id);
+  SetNodeCount(new_root, 1);
+  root_ = op->new_root_id;
+  pool_->Unpin(root->id, true);
+  pool_->Unpin(op->sibling->id, true);
+  pool_->Unpin(op->new_root_id, true);
+  StartPut(op);  // retry from the new root
+}
+
+void BTree::DescendPut(PutOp* op, Frame* node) {
+  if (NodeType(node) == PageType::kBTreeLeaf) {
+    const std::uint32_t pos = LeafLowerBound(node, op->key);
+    if (pos < NodeCount(node) && LeafKey(node, pos) == op->key) {
+      SetLeafEntry(node, pos, op->key, op->value);  // overwrite
+    } else {
+      LeafInsertAt(node, pos, op->key, op->value);
+    }
+    pool_->Unpin(node->id, /*dirty=*/true);
+    FinishPut(op, Status::Ok());
+    return;
+  }
+  op->node = node;
+  op->index = InternalFindIndex(node, op->key);
+  auto pinned = [this, op](StatusOr<Frame*> c) {
+    OnChildPinned(op, std::move(c));
+  };
+  static_assert(BufferPool::PinCallback::fits<decltype(pinned)>());
+  pool_->Pin(InternalChild(node, op->index), std::move(pinned));
+}
+
+void BTree::OnChildPinned(PutOp* op, StatusOr<Frame*> c) {
+  if (!c.ok()) {
+    pool_->Unpin(op->node->id, false);
+    FinishPut(op, c.status());
+    return;
+  }
+  Frame* child = *c;
+  if (IsFull(child)) {
+    // Preemptive split (parent is non-full by induction), then try
+    // this level again — the key may now belong in the new sibling.
+    op->child = child;
+    SplitChild(op);
+    return;
+  }
+  pool_->Unpin(op->node->id, false);
+  DescendPut(op, child);
+}
+
+void BTree::SplitChild(PutOp* op) {
+  counters_.Increment("node_splits");
+  op->sibling_id = alloc_page_();
+  pool_->Pin(op->sibling_id, [this, op](StatusOr<Frame*> s) {
+    OnChildSiblingPinned(op, std::move(s));
+  });
+}
+
+void BTree::OnChildSiblingPinned(PutOp* op, StatusOr<Frame*> s) {
+  if (!s.ok()) {
+    pool_->Unpin(op->child->id, false);
+    pool_->Unpin(op->node->id, true);
+    FinishPut(op, s.status());
+    return;
+  }
+  Frame* sibling = *s;
+  const std::uint64_t separator = SplitNode(op->child, sibling);
+  InternalInsertAfter(op->node, op->index, separator, op->sibling_id);
+  pool_->MarkDirty(op->node->id);
+  pool_->Unpin(op->child->id, true);
+  pool_->Unpin(op->sibling_id, true);
+  DescendPut(op, op->node);
+}
+
+void BTree::FinishPut(PutOp* op, Status st) {
+  StatusCb cb = std::move(op->cb);
+  puts_.Release(op);
+  cb(std::move(st));
 }
 
 // --- Get / Delete ------------------------------------------------------------
@@ -338,34 +360,11 @@ void BTree::Get(std::uint64_t key, GetCb cb) {
     return;
   }
   counters_.Increment("gets");
-  // Iterative descent via a self-referential closure.
-  auto step = std::make_shared<std::function<void(PageId)>>();
-  *step = [this, key, cb = std::move(cb), step](PageId id) mutable {
-    pool_->Pin(id, [this, id, key, cb, step](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        cb(f.status());
-        *step = nullptr;
-        return;
-      }
-      Frame* node = *f;
-      if (NodeType(node) == PageType::kBTreeLeaf) {
-        const std::uint32_t pos = LeafLowerBound(node, key);
-        StatusOr<std::uint64_t> result =
-            (pos < NodeCount(node) && LeafKey(node, pos) == key)
-                ? StatusOr<std::uint64_t>(LeafValue(node, pos))
-                : StatusOr<std::uint64_t>(
-                      Status::NotFound("key " + std::to_string(key)));
-        pool_->Unpin(id, false);
-        cb(std::move(result));
-        *step = nullptr;
-        return;
-      }
-      const PageId child = InternalChild(node, InternalFindIndex(node, key));
-      pool_->Unpin(id, false);
-      (*step)(child);
-    });
-  };
-  (*step)(root_);
+  PointOp* op = points_.Acquire();
+  op->key = key;
+  op->remove = false;
+  op->get_cb = std::move(cb);
+  PointStep(op, root_);
 }
 
 void BTree::Delete(std::uint64_t key, StatusCb cb) {
@@ -376,33 +375,56 @@ void BTree::Delete(std::uint64_t key, StatusCb cb) {
     return;
   }
   counters_.Increment("deletes");
-  auto step = std::make_shared<std::function<void(PageId)>>();
-  *step = [this, key, cb = std::move(cb), step](PageId id) mutable {
-    pool_->Pin(id, [this, id, key, cb, step](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        cb(f.status());
-        *step = nullptr;
-        return;
-      }
-      Frame* node = *f;
-      if (NodeType(node) == PageType::kBTreeLeaf) {
-        const std::uint32_t pos = LeafLowerBound(node, key);
-        bool removed = false;
-        if (pos < NodeCount(node) && LeafKey(node, pos) == key) {
-          LeafRemoveAt(node, pos);
-          removed = true;
-        }
-        pool_->Unpin(id, removed);
-        cb(Status::Ok());
-        *step = nullptr;
-        return;
-      }
-      const PageId child = InternalChild(node, InternalFindIndex(node, key));
-      pool_->Unpin(id, false);
-      (*step)(child);
-    });
+  PointOp* op = points_.Acquire();
+  op->key = key;
+  op->remove = true;
+  op->del_cb = std::move(cb);
+  PointStep(op, root_);
+}
+
+void BTree::PointStep(PointOp* op, PageId id) {
+  auto pinned = [this, op, id](StatusOr<Frame*> f) {
+    OnPointPinned(op, id, std::move(f));
   };
-  (*step)(root_);
+  static_assert(BufferPool::PinCallback::fits<decltype(pinned)>());
+  pool_->Pin(id, std::move(pinned));
+}
+
+void BTree::OnPointPinned(PointOp* op, PageId id, StatusOr<Frame*> f) {
+  if (f.ok() && NodeType(*f) != PageType::kBTreeLeaf) {
+    const PageId child = InternalChild(*f, InternalFindIndex(*f, op->key));
+    pool_->Unpin(id, false);
+    PointStep(op, child);
+    return;
+  }
+  GetCb get_cb = std::move(op->get_cb);
+  StatusCb del_cb = std::move(op->del_cb);
+  const std::uint64_t key = op->key;
+  const bool remove = op->remove;
+  points_.Release(op);
+  if (!f.ok()) {
+    if (remove) {
+      del_cb(f.status());
+    } else {
+      get_cb(f.status());
+    }
+    return;
+  }
+  Frame* leaf = *f;
+  const std::uint32_t pos = LeafLowerBound(leaf, key);
+  const bool found = pos < NodeCount(leaf) && LeafKey(leaf, pos) == key;
+  if (remove) {
+    if (found) LeafRemoveAt(leaf, pos);
+    pool_->Unpin(id, found);
+    del_cb(Status::Ok());
+    return;
+  }
+  StatusOr<std::uint64_t> result =
+      found ? StatusOr<std::uint64_t>(LeafValue(leaf, pos))
+            : StatusOr<std::uint64_t>(
+                  Status::NotFound("key " + std::to_string(key)));
+  pool_->Unpin(id, false);
+  get_cb(std::move(result));
 }
 
 // --- Scan ---------------------------------------------------------------------
@@ -415,62 +437,62 @@ void BTree::Scan(std::uint64_t lo, std::uint64_t hi, ScanCb cb) {
     return;
   }
   counters_.Increment("scans");
-  auto results = std::make_shared<
-      std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
+  ScanOp* op = scans_.Acquire();
+  op->lo = lo;
+  op->hi = hi;
+  op->cb = std::move(cb);
+  ScanDescend(op, root_);
+}
 
-  auto walk = std::make_shared<std::function<void(PageId)>>();
-  auto descend = std::make_shared<std::function<void(PageId)>>();
-
-  *walk = [this, lo, hi, results, cb, walk](PageId id) mutable {
-    if (id == kInvalidPageId) {
-      cb(std::move(*results));
-      *walk = nullptr;
+void BTree::ScanDescend(ScanOp* op, PageId id) {
+  pool_->Pin(id, [this, op, id](StatusOr<Frame*> f) {
+    if (!f.ok()) {
+      ScanWalk(op, kInvalidPageId);  // deliver what we have (empty)
       return;
     }
-    pool_->Pin(id, [this, id, lo, hi, results, cb,
-                    walk](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        cb(f.status());
-        *walk = nullptr;
-        return;
-      }
-      Frame* leaf = *f;
-      bool past_hi = false;
-      for (std::uint32_t i = 0; i < NodeCount(leaf); ++i) {
-        const std::uint64_t k = LeafKey(leaf, i);
-        if (k < lo) continue;
-        if (k > hi) {
-          past_hi = true;
-          break;
-        }
-        results->emplace_back(k, LeafValue(leaf, i));
-      }
-      const PageId next = past_hi ? kInvalidPageId : LeafNext(leaf);
+    Frame* node = *f;
+    if (NodeType(node) == PageType::kBTreeLeaf) {
       pool_->Unpin(id, false);
-      (*walk)(next);
-    });
-  };
+      ScanWalk(op, id);
+      return;
+    }
+    const PageId child = InternalChild(node, InternalFindIndex(node, op->lo));
+    pool_->Unpin(id, false);
+    ScanDescend(op, child);
+  });
+}
 
-  *descend = [this, lo, walk, descend](PageId id) mutable {
-    pool_->Pin(id, [this, id, lo, walk, descend](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        (*walk)(kInvalidPageId);  // deliver what we have (empty)
-        *descend = nullptr;
-        return;
+void BTree::ScanWalk(ScanOp* op, PageId id) {
+  if (id == kInvalidPageId) {
+    FinishScan(op, std::move(op->results));
+    return;
+  }
+  pool_->Pin(id, [this, op, id](StatusOr<Frame*> f) {
+    if (!f.ok()) {
+      FinishScan(op, f.status());
+      return;
+    }
+    Frame* leaf = *f;
+    bool past_hi = false;
+    for (std::uint32_t i = 0; i < NodeCount(leaf); ++i) {
+      const std::uint64_t k = LeafKey(leaf, i);
+      if (k < op->lo) continue;
+      if (k > op->hi) {
+        past_hi = true;
+        break;
       }
-      Frame* node = *f;
-      if (NodeType(node) == PageType::kBTreeLeaf) {
-        pool_->Unpin(id, false);
-        (*walk)(id);
-        *descend = nullptr;
-        return;
-      }
-      const PageId child = InternalChild(node, InternalFindIndex(node, lo));
-      pool_->Unpin(id, false);
-      (*descend)(child);
-    });
-  };
-  (*descend)(root_);
+      op->results.emplace_back(k, LeafValue(leaf, i));
+    }
+    const PageId next = past_hi ? kInvalidPageId : LeafNext(leaf);
+    pool_->Unpin(id, false);
+    ScanWalk(op, next);
+  });
+}
+
+void BTree::FinishScan(ScanOp* op, StatusOr<Pairs> result) {
+  ScanCb cb = std::move(op->cb);
+  scans_.Release(op);
+  cb(std::move(result));
 }
 
 }  // namespace postblock::db

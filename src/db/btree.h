@@ -2,7 +2,6 @@
 #define POSTBLOCK_DB_BTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -11,6 +10,8 @@
 #include "common/statusor.h"
 #include "db/buffer_pool.h"
 #include "db/page.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -26,13 +27,14 @@ namespace postblock::db {
 /// its redesigned storage interface.
 class BTree {
  public:
-  using StatusCb = std::function<void(Status)>;
-  using GetCb = std::function<void(StatusOr<std::uint64_t>)>;  // NotFound
-  using ScanCb = std::function<void(
-      StatusOr<std::vector<std::pair<std::uint64_t, std::uint64_t>>>)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using GetCb =
+      sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;  // NotFound
+  using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  using ScanCb = sim::InplaceFunction<void(StatusOr<Pairs>)>;
+  using PageAllocator = sim::InplaceFunction<PageId()>;
 
-  BTree(sim::Simulator* sim, BufferPool* pool,
-        std::function<PageId()> alloc_page);
+  BTree(sim::Simulator* sim, BufferPool* pool, PageAllocator alloc_page);
 
   /// Formats a fresh root leaf. The tree is unusable before Create/Open.
   void Create(StatusCb cb);
@@ -57,17 +59,63 @@ class BTree {
       (kPageBytes - kInternalHeader) / 16;
 
  private:
-  void DescendPut(Frame* parent, std::uint64_t key, std::uint64_t value,
-                  StatusCb cb);
-  void SplitChild(Frame* parent, std::uint32_t child_index, Frame* child,
-                  StatusCb on_done);
-  void SplitRootAndRetryPut(Frame* root, std::uint64_t key,
-                            std::uint64_t value, StatusCb cb);
+  /// One Get or Delete, pooled: a root-to-leaf descent whose every pin
+  /// captures {this, op, page}.
+  struct PointOp {
+    std::uint64_t key = 0;
+    bool remove = false;
+    GetCb get_cb;     // Get
+    StatusCb del_cb;  // Delete
+  };
+  /// One Put, pooled: the descent plus what a split holds pinned. Every
+  /// pin captures {this, op}.
+  struct PutOp {
+    std::uint64_t key = 0;
+    std::uint64_t value = 0;
+    StatusCb cb;
+    Frame* node = nullptr;     // pinned, non-full: the level being entered
+    Frame* child = nullptr;    // the full child being split
+    Frame* sibling = nullptr;  // the root split's new sibling
+    std::uint32_t index = 0;   // node's child slot being descended into
+    PageId sibling_id = kInvalidPageId;
+    PageId new_root_id = kInvalidPageId;
+    std::uint64_t separator = 0;
+  };
+  /// One range scan, pooled: a descent to the leaf holding `lo`, then a
+  /// walk along the leaf chain.
+  struct ScanOp {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    Pairs results;
+    ScanCb cb;
+  };
+
+  void PointStep(PointOp* op, PageId id);
+  void OnPointPinned(PointOp* op, PageId id, StatusOr<Frame*> f);
+  void StartPut(PutOp* op);
+  void OnRootPinned(PutOp* op, StatusOr<Frame*> f);
+  void SplitRoot(PutOp* op);
+  void OnRootSiblingPinned(PutOp* op, StatusOr<Frame*> s);
+  void OnNewRootPinned(PutOp* op, StatusOr<Frame*> nr);
+  /// `node` is pinned and non-full.
+  void DescendPut(PutOp* op, Frame* node);
+  void OnChildPinned(PutOp* op, StatusOr<Frame*> c);
+  /// Preemptive split of op->child (full) under op->node, then the
+  /// descent retries op->node.
+  void SplitChild(PutOp* op);
+  void OnChildSiblingPinned(PutOp* op, StatusOr<Frame*> s);
+  void FinishPut(PutOp* op, Status st);
+  void ScanDescend(ScanOp* op, PageId id);
+  void ScanWalk(ScanOp* op, PageId id);
+  void FinishScan(ScanOp* op, StatusOr<Pairs> result);
 
   sim::Simulator* sim_;
   BufferPool* pool_;
-  std::function<PageId()> alloc_page_;
+  PageAllocator alloc_page_;
   PageId root_ = kInvalidPageId;
+  sim::ObjectPool<PointOp> points_;
+  sim::ObjectPool<PutOp> puts_;
+  sim::ObjectPool<ScanOp> scans_;
   Counters counters_;
 };
 

@@ -2,9 +2,7 @@
 #define POSTBLOCK_DB_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <memory>
+#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -14,6 +12,8 @@
 #include "common/statusor.h"
 #include "db/page.h"
 #include "db/page_image.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -35,9 +35,16 @@ struct Frame {
 /// deferred-update policy this keeps the on-device tree exactly at the
 /// last checkpoint, which is what makes logical WAL redo sound (see
 /// DESIGN.md). Steal mode exists for IO-pattern experiments.
+///
+/// The pool is a fixed array of `frames` frames whose page buffers are
+/// allocated once, at construction. Page ids are dense (below the
+/// device's block count), so a vector maps each id to its frame; the
+/// LRU list is intrusive (a touch is a splice). A pin, hit or miss,
+/// allocates nothing.
 class BufferPool {
  public:
-  using PinCallback = std::function<void(StatusOr<Frame*>)>;
+  using PinCallback = sim::InplaceFunction<void(StatusOr<Frame*>)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
 
   BufferPool(sim::Simulator* sim, blocklayer::BlockDevice* device,
              PageImageStore* images, std::size_t frames,
@@ -55,54 +62,110 @@ class BufferPool {
 
   /// Marks a resident frame modified without changing its pin count.
   void MarkDirty(PageId id) {
-    auto it = frames_.find(id);
-    if (it != frames_.end()) it->second->dirty = true;
+    if (Frame* f = Resident(id)) f->dirty = true;
   }
 
   /// Writes one dirty frame back (no-op if clean or absent).
-  void FlushPage(PageId id, std::function<void(Status)> cb);
+  void FlushPage(PageId id, StatusCb cb);
 
   /// Writes every dirty frame back; fires when all are durable (plus a
   /// device flush barrier).
-  void FlushAll(std::function<void(Status)> cb);
+  void FlushAll(StatusCb cb);
 
   /// Drops every clean, unpinned frame (post-recovery cache reset).
   void InvalidateClean();
 
   /// Simulates power loss: every frame, pin, pending load and waiter is
-  /// gone (the lower layers' epoch guards keep stale completions from
-  /// ever reaching this pool again).
+  /// gone, and no callback of an op in flight runs (the lower layers'
+  /// epoch guards keep stale completions from reaching this pool, and
+  /// the pool's own guard drops any that do).
   void PowerCycle();
 
-  /// Resident dirty frames — for externally orchestrated checkpoints
-  /// (e.g. the storage manager's atomic-write checkpoint).
-  std::vector<Frame*> DirtyFrames();
+  /// Resident dirty frames, into `out` (cleared first) — for externally
+  /// orchestrated checkpoints (e.g. the storage manager's atomic-write
+  /// checkpoint).
+  void DirtyFrames(std::vector<Frame*>* out);
   /// Marks a frame clean after such a checkpoint persisted it.
   void MarkClean(PageId id) {
-    auto it = frames_.find(id);
-    if (it != frames_.end()) it->second->dirty = false;
+    if (Frame* f = Resident(id)) f->dirty = false;
   }
 
-  std::size_t resident() const { return frames_.size(); }
+  std::size_t resident() const { return order_.size(); }
   std::size_t dirty_count() const;
   const Counters& counters() const { return counters_; }
 
  private:
-  void LoadFrame(PageId id);
+  static constexpr std::uint32_t kNil = ~0u;
+
+  /// A frame plus its place in the pool: the intrusive LRU links, and
+  /// the pins waiting on its load while it is in flight.
+  struct Slot {
+    Frame frame;
+    bool loading = false;
+    std::uint32_t prev = kNil;  // toward the most recent
+    std::uint32_t next = kNil;  // toward the least recent
+    std::vector<PinCallback> waiters;
+  };
+  /// One FlushPage in flight, pooled; its write's completion captures
+  /// {this, op, epoch}.
+  struct FlushOp {
+    PageId id = kInvalidPageId;
+    StatusCb cb;
+  };
+  /// One FlushAll in flight: its page flushes, then the barrier.
+  struct FlushAllOp {
+    std::size_t remaining = 0;
+    Status first_error;
+    StatusCb cb;
+  };
+
+  /// The resident frame holding `id`, or null (absent or still loading).
+  Frame* Resident(PageId id) {
+    if (id >= slot_of_.size()) return nullptr;
+    const std::uint32_t s = slot_of_[id];
+    return s == kNil || slots_[s].loading ? nullptr : &slots_[s].frame;
+  }
+  void LoadFrame(PageId id, std::uint32_t s);
+  void OnLoaded(std::uint32_t s, const blocklayer::IoResult& res);
   bool EvictOne();
-  void Touch(PageId id);
+  /// Makes `s` the most recently used frame.
+  void Touch(std::uint32_t s);
+  void Unlink(std::uint32_t s);
+  /// Returns a resident frame's slot to the free list.
+  void Drop(std::uint32_t s);
+  /// Ends a FlushAll: on success, the device flush barrier, then `cb`.
+  void FlushBarrier(FlushAllOp* op, const Status& st);
+  void FinishFlushAll(FlushAllOp* op, const Status& st);
 
   sim::Simulator* sim_;
   blocklayer::BlockDevice* device_;
   PageImageStore* images_;
   std::size_t capacity_;
   bool allow_steal_;
+  /// Bumped by PowerCycle: continuations of an older epoch are dropped.
+  std::uint64_t epoch_ = 0;
 
-  std::unordered_map<PageId, std::unique_ptr<Frame>> frames_;
-  std::list<PageId> lru_;  // front = most recent
-  std::unordered_map<PageId, std::list<PageId>::iterator> lru_pos_;
-  std::unordered_map<PageId, std::vector<PinCallback>> loading_;
+  std::vector<Slot> slots_;  // fixed size: frame addresses are stable
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> slot_of_;  // page id -> slot (kNil)
+  std::uint32_t lru_head_ = kNil;       // most recent
+  std::uint32_t lru_tail_ = kNil;       // least recent
+  /// Scratch for a load's waiters while they run (swapped with the
+  /// slot's list, so both keep their buffers).
+  std::vector<PinCallback> running_waiters_;
 
+  /// Resident pages in the iteration order of a hash map keyed by page
+  /// id, fed the same inserts and erases. FlushAll and DirtyFrames walk
+  /// dirty frames in this order, and the classic checkpoint's write
+  /// order — so every classic-wiring schedule — depends on it. Its nodes
+  /// recycle through the pool resource, so it allocates nothing once
+  /// warm.
+  std::pmr::unsynchronized_pool_resource order_nodes_;
+  std::pmr::unordered_map<PageId, std::uint32_t> order_{&order_nodes_};
+
+  sim::ObjectPool<FlushOp> flushes_;
+  sim::ObjectPool<FlushAllOp> flush_alls_;
+  std::vector<PageId> flush_ids_;  // FlushAll scratch
   Counters counters_;
 };
 

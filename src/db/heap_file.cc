@@ -1,7 +1,6 @@
 #include "db/heap_file.h"
 
 #include <cstring>
-#include <memory>
 
 namespace postblock::db {
 
@@ -42,7 +41,7 @@ void Format(Frame* f) {
 }  // namespace
 
 HeapFile::HeapFile(sim::Simulator* sim, BufferPool* pool,
-                   std::function<PageId()> alloc_page)
+                   PageAllocator alloc_page)
     : sim_(sim), pool_(pool), alloc_page_(std::move(alloc_page)) {}
 
 void HeapFile::Create(StatusCb cb) {
@@ -128,41 +127,44 @@ void HeapFile::Get(Rid rid, GetCb cb) {
   });
 }
 
-void HeapFile::Scan(
-    std::function<void(Rid, std::uint64_t, std::uint64_t)> visit,
-    ScanCb cb) {
+void HeapFile::Scan(Visitor visit, ScanCb cb) {
   counters_.Increment("scans");
-  auto total = std::make_shared<std::uint64_t>(0);
-  auto walk = std::make_shared<std::function<void(PageId)>>();
-  *walk = [this, visit = std::move(visit), cb = std::move(cb), total,
-           walk](PageId id) mutable {
-    if (id == kInvalidPageId) {
-      cb(*total);
-      *walk = nullptr;
+  ScanOp* op = scans_.Acquire();
+  op->visit = std::move(visit);
+  op->cb = std::move(cb);
+  op->total = 0;
+  ScanFrom(op, first_page_);
+}
+
+void HeapFile::ScanFrom(ScanOp* op, PageId id) {
+  if (id == kInvalidPageId) {
+    FinishScan(op, op->total);
+    return;
+  }
+  pool_->Pin(id, [this, op, id](StatusOr<Frame*> f) {
+    if (!f.ok()) {
+      FinishScan(op, f.status());
       return;
     }
-    pool_->Pin(id, [this, id, visit, cb, total,
-                    walk](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        cb(f.status());
-        *walk = nullptr;
-        return;
-      }
-      Frame* page = *f;
-      const std::uint16_t count = Count(page);
-      for (std::uint32_t s = 0; s < count; ++s) {
-        std::uint64_t a = 0;
-        std::uint64_t b = 0;
-        ReadRecord(page, s, &a, &b);
-        visit(Rid{id, s}, a, b);
-      }
-      *total += count;
-      const PageId next = Next(page);
-      pool_->Unpin(id, false);
-      (*walk)(next);
-    });
-  };
-  (*walk)(first_page_);
+    Frame* page = *f;
+    const std::uint16_t count = Count(page);
+    for (std::uint32_t s = 0; s < count; ++s) {
+      std::uint64_t a = 0;
+      std::uint64_t b = 0;
+      ReadRecord(page, s, &a, &b);
+      op->visit(Rid{id, s}, a, b);
+    }
+    op->total += count;
+    const PageId next = Next(page);
+    pool_->Unpin(id, false);
+    ScanFrom(op, next);
+  });
+}
+
+void HeapFile::FinishScan(ScanOp* op, StatusOr<std::uint64_t> result) {
+  ScanCb cb = std::move(op->cb);
+  scans_.Release(op);
+  cb(std::move(result));
 }
 
 }  // namespace postblock::db

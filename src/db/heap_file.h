@@ -2,7 +2,6 @@
 #define POSTBLOCK_DB_HEAP_FILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -11,6 +10,8 @@
 #include "common/statusor.h"
 #include "db/buffer_pool.h"
 #include "db/page.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -31,16 +32,18 @@ struct Rid {
 /// records at 16.
 class HeapFile {
  public:
-  using StatusCb = std::function<void(Status)>;
-  using AppendCb = std::function<void(StatusOr<Rid>)>;
-  using GetCb =
-      std::function<void(StatusOr<std::pair<std::uint64_t, std::uint64_t>>)>;
-  using ScanCb = std::function<void(StatusOr<std::uint64_t>)>;  // count
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using AppendCb = sim::InplaceFunction<void(StatusOr<Rid>)>;
+  using GetCb = sim::InplaceFunction<void(
+      StatusOr<std::pair<std::uint64_t, std::uint64_t>>)>;
+  using ScanCb = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;  // count
+  using Visitor =
+      sim::InplaceFunction<void(Rid, std::uint64_t, std::uint64_t)>;
+  using PageAllocator = sim::InplaceFunction<PageId()>;
 
   static constexpr std::uint32_t kRecordsPerPage = (kPageBytes - 16) / 16;
 
-  HeapFile(sim::Simulator* sim, BufferPool* pool,
-           std::function<PageId()> alloc_page);
+  HeapFile(sim::Simulator* sim, BufferPool* pool, PageAllocator alloc_page);
 
   /// Formats the first page.
   void Create(StatusCb cb);
@@ -58,17 +61,26 @@ class HeapFile {
   void Get(Rid rid, GetCb cb);
 
   /// Full scan; `visit` sees each record, completion delivers the count.
-  void Scan(std::function<void(Rid, std::uint64_t, std::uint64_t)> visit,
-            ScanCb cb);
+  void Scan(Visitor visit, ScanCb cb);
 
   const Counters& counters() const { return counters_; }
 
  private:
+  /// One full scan, pooled; each page's pin captures {this, op, page}.
+  struct ScanOp {
+    Visitor visit;
+    ScanCb cb;
+    std::uint64_t total = 0;
+  };
+  void ScanFrom(ScanOp* op, PageId id);
+  void FinishScan(ScanOp* op, StatusOr<std::uint64_t> result);
+
   sim::Simulator* sim_;
   BufferPool* pool_;
-  std::function<PageId()> alloc_page_;
+  PageAllocator alloc_page_;
   PageId first_page_ = kInvalidPageId;
   PageId tail_page_ = kInvalidPageId;
+  sim::ObjectPool<ScanOp> scans_;
   Counters counters_;
 };
 

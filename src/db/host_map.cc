@@ -1,6 +1,6 @@
 #include "db/host_map.h"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 namespace postblock::db {
@@ -8,7 +8,7 @@ namespace postblock::db {
 HostMap::HostMap(sim::Simulator* sim, host::HostInterface* dev,
                  std::uint64_t num_pages, std::uint32_t page_bytes)
     : sim_(sim), dev_(dev), num_pages_(num_pages),
-      page_bytes_(page_bytes) {
+      page_bytes_(page_bytes), name_of_(num_pages, kNoName) {
   // The peer channel: the device tells us about every page it moves,
   // before the old name can go stale under a future read.
   dev_->SetMigrationHandler(
@@ -19,12 +19,15 @@ HostMap::HostMap(sim::Simulator* sim, host::HostInterface* dev,
 
 void HostMap::Submit(blocklayer::IoRequest request) {
   counters_.Increment("requests");
+  const std::uint64_t gen = generation_;
   if (request.op == blocklayer::IoOp::kFlush) {
-    auto done = std::make_shared<blocklayer::IoCallback>(
-        std::move(request.on_complete));
+    Request* r = requests_.Acquire();
+    r->remaining = 1;
+    r->cb = std::move(request.on_complete);
     host::Command f = host::Command::Flush(
-        [done](const blocklayer::IoResult& res) {
-          if (*done) (*done)(blocklayer::IoResult{res.status, {}});
+        [this, r, gen](const blocklayer::IoResult& res) {
+          if (gen != generation_) return;
+          OnPageDone(r, 0, res.status, 0);
         });
     f.span = request.span;
     dev_->Execute(std::move(f));
@@ -52,42 +55,20 @@ void HostMap::Submit(blocklayer::IoRequest request) {
     return;
   }
 
-  struct Tracker {
-    std::uint32_t remaining;
-    Status first_error;
-    std::vector<std::uint64_t> tokens;
-    blocklayer::IoCallback cb;
-  };
-  auto t = std::make_shared<Tracker>();
-  t->remaining = request.nblocks;
-  t->tokens.assign(
+  Request* r = requests_.Acquire();
+  r->remaining = request.nblocks;
+  r->result.tokens.assign(
       request.op == blocklayer::IoOp::kRead ? request.nblocks : 0, 0);
-  t->cb = std::move(request.on_complete);
-  auto on_page = [t](std::uint32_t index, Status st,
-                     std::uint64_t token) {
-    if (!st.ok() && t->first_error.ok()) t->first_error = st;
-    if (index < t->tokens.size()) t->tokens[index] = token;
-    if (--t->remaining > 0) return;
-    if (t->cb) {
-      t->cb(blocklayer::IoResult{t->first_error, std::move(t->tokens)});
-    }
-  };
-
+  r->cb = std::move(request.on_complete);
   switch (request.op) {
     case blocklayer::IoOp::kRead:
       for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        ReadPage(request.lba + i, 0,
-                 [on_page, i](Status st, std::uint64_t token) {
-                   on_page(i, std::move(st), token);
-                 });
+        ReadPage(r, i, request.lba + i, 0);
       }
       return;
     case blocklayer::IoOp::kWrite:
       for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        WritePage(request.lba + i, request.tokens[i],
-                  [on_page, i](Status st) {
-                    on_page(i, std::move(st), 0);
-                  });
+        WritePage(r, i, request.lba + i, request.tokens[i]);
       }
       return;
     case blocklayer::IoOp::kTrim:
@@ -96,155 +77,218 @@ void HostMap::Submit(blocklayer::IoRequest request) {
       // the old copy.
       for (std::uint32_t i = 0; i < request.nblocks; ++i) {
         const PageId page = request.lba + i;
-        auto it = map_.find(page);
-        if (it != map_.end()) {
+        if (name_of_[page] != kNoName) {
           counters_.Increment("trims");
-          retired_.push_back(it->second);
-          name_to_page_.erase(it->second);
-          map_.erase(it);
+          Retire(page);
+          --live_;
         }
-        sim_->Schedule(0, [on_page, i]() { on_page(i, Status::Ok(), 0); });
+        sim_->Schedule(0, [this, r, i, gen]() {
+          if (gen != generation_) return;
+          OnPageDone(r, i, Status::Ok(), 0);
+        });
       }
       return;
     default:
-      sim_->Schedule(0, [on_page]() {
-        on_page(0, Status::InvalidArgument("unsupported op"), 0);
+      sim_->Schedule(0, [this, r, gen]() {
+        if (gen != generation_) return;
+        OnPageDone(r, 0, Status::InvalidArgument("unsupported op"), 0);
       });
       return;
   }
 }
 
-void HostMap::ReadPage(PageId page, int tries,
-                       std::function<void(Status, std::uint64_t)> done) {
-  auto it = map_.find(page);
-  if (it == map_.end()) {
+void HostMap::ReadPage(Request* r, std::uint32_t index, PageId page,
+                       std::uint32_t tries) {
+  const std::uint64_t gen = generation_;
+  const std::uint64_t name = name_of_[page];
+  if (name == kNoName) {
     // Never written (or trimmed): reads as zeroes, like an unmapped LBA.
     counters_.Increment("zero_reads");
-    sim_->Schedule(0, [done = std::move(done)]() {
-      done(Status::Ok(), 0);
+    sim_->Schedule(0, [this, r, index, gen]() {
+      if (gen != generation_) return;
+      OnPageDone(r, index, Status::Ok(), 0);
     });
     return;
   }
   counters_.Increment("reads");
-  dev_->Execute(host::Command::NamelessRead(
-      it->second,
-      [this, page, tries,
-       done = std::move(done)](const blocklayer::IoResult& res) {
-        if (res.status.ok()) {
-          done(Status::Ok(), res.tokens.empty() ? 0 : res.tokens[0]);
-          return;
-        }
-        if (res.status.IsNotFound() && tries < 3) {
-          // The device migrated the page between our lookup and its
-          // read — its callback already updated the map. Re-resolve.
-          counters_.Increment("read_retries");
-          ReadPage(page, tries + 1, std::move(done));
-          return;
-        }
-        done(res.status, 0);
-      }));
+  auto done = [this, r, index, page, tries,
+               gen](const blocklayer::IoResult& res) {
+    if (gen != generation_) return;
+    if (res.status.ok()) {
+      OnPageDone(r, index, Status::Ok(),
+                 res.tokens.empty() ? 0 : res.tokens[0]);
+      return;
+    }
+    if (res.status.IsNotFound() && tries < 3) {
+      // The device migrated the page between our lookup and its read —
+      // its callback already updated the map. Re-resolve.
+      counters_.Increment("read_retries");
+      ReadPage(r, index, page, tries + 1);
+      return;
+    }
+    OnPageDone(r, index, res.status, 0);
+  };
+  static_assert(blocklayer::IoCallback::fits<decltype(done)>());
+  dev_->Execute(host::Command::NamelessRead(name, std::move(done)));
 }
 
-void HostMap::WritePage(PageId page, std::uint64_t token,
-                        std::function<void(Status)> done) {
+void HostMap::WritePage(Request* r, std::uint32_t index, PageId page,
+                        std::uint64_t token) {
   counters_.Increment("writes");
+  const std::uint64_t gen = generation_;
+  auto done = [this, r, index, page, gen](const blocklayer::IoResult& res) {
+    if (gen != generation_) return;
+    if (!res.status.ok()) {
+      OnPageDone(r, index, res.status, 0);
+      return;
+    }
+    if (res.tokens.empty()) {
+      OnPageDone(r, index, Status::Internal("nameless write returned no name"),
+                 0);
+      return;
+    }
+    const std::uint64_t name = res.tokens[0];
+    if (name_of_[page] != kNoName) {
+      Retire(page);
+    } else {
+      ++live_;
+    }
+    name_of_[page] = name;
+    Index(name, page);
+    OnPageDone(r, index, Status::Ok(), 0);
+  };
+  static_assert(blocklayer::IoCallback::fits<decltype(done)>());
   dev_->Execute(host::Command::NamelessWriteTagged(
-      token, page, static_cast<std::uint32_t>(epoch_),
-      [this, page, done = std::move(done)](
-          const blocklayer::IoResult& res) {
-        if (!res.status.ok()) {
-          done(res.status);
-          return;
-        }
-        if (res.tokens.empty()) {
-          done(Status::Internal("nameless write returned no name"));
-          return;
-        }
-        const std::uint64_t name = res.tokens[0];
-        auto old = map_.find(page);
-        if (old != map_.end()) {
-          retired_.push_back(old->second);
-          name_to_page_.erase(old->second);
-          old->second = name;
-        } else {
-          map_[page] = name;
-        }
-        name_to_page_[name] = page;
-        done(Status::Ok());
-      }));
+      token, page, static_cast<std::uint32_t>(epoch_), std::move(done)));
 }
 
-void HostMap::FreeRetired(std::function<void(Status)> cb) {
+void HostMap::OnPageDone(Request* r, std::uint32_t index, const Status& st,
+                         std::uint64_t token) {
+  if (!st.ok() && r->result.status.ok()) r->result.status = st;
+  if (index < r->result.tokens.size()) r->result.tokens[index] = token;
+  if (--r->remaining > 0) return;
+  // The record is recycled after the callback (which may submit again
+  // and must not find its own result reused); a crash inside the
+  // callback has reclaimed it already.
+  const std::uint64_t gen = generation_;
+  if (r->cb) r->cb(r->result);
+  if (gen != generation_) return;
+  r->cb = nullptr;
+  r->result.status = Status::Ok();
+  r->result.tokens.clear();
+  requests_.Recycle(r);
+}
+
+void HostMap::FreeRetired(StatusCb cb) {
+  FreeBatch* fb = frees_.Acquire();
+  fb->remaining = retired_.size();
+  fb->first_error = Status::Ok();
+  fb->cb = std::move(cb);
+  const std::uint64_t gen = generation_;
   if (retired_.empty()) {
-    sim_->Schedule(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
+    sim_->Schedule(0, [this, fb, gen]() {
+      if (gen != generation_) return;
+      FinishFree(fb);
+    });
     return;
   }
-  auto names = std::make_shared<std::vector<std::uint64_t>>(
-      std::move(retired_));
-  retired_.clear();
-  struct Tracker {
-    std::size_t remaining;
-    Status first_error;
-    std::function<void(Status)> cb;
-  };
-  auto t = std::make_shared<Tracker>();
-  t->remaining = names->size();
-  t->cb = std::move(cb);
-  counters_.Add("retired_freed", names->size());
-  for (const std::uint64_t name : *names) {
-    dev_->Execute(host::Command::NamelessFree(
-        name, [this, t](const blocklayer::IoResult& res) {
-          // NotFound = already gone (crash reclaim); not an error.
-          if (!res.status.ok() && !res.status.IsNotFound() &&
-              t->first_error.ok()) {
-            t->first_error = res.status;
-          }
-          if (!res.status.ok() && res.status.IsNotFound()) {
-            counters_.Increment("free_stale");
-          }
-          if (--t->remaining == 0) t->cb(t->first_error);
-        }));
+  fb->names.swap(retired_);
+  for (const std::uint64_t name : fb->names) {
+    if (NameEntry* e = Find(name)) e->name = kNoName;
   }
+  counters_.Add("retired_freed", fb->names.size());
+  for (const std::uint64_t name : fb->names) {
+    auto freed = [this, fb, gen](const blocklayer::IoResult& res) {
+      if (gen != generation_) return;
+      // NotFound = already gone (crash reclaim); not an error.
+      if (!res.status.ok() && !res.status.IsNotFound() &&
+          fb->first_error.ok()) {
+        fb->first_error = res.status;
+      }
+      if (!res.status.ok() && res.status.IsNotFound()) {
+        counters_.Increment("free_stale");
+      }
+      if (--fb->remaining == 0) FinishFree(fb);
+    };
+    static_assert(blocklayer::IoCallback::fits<decltype(freed)>());
+    dev_->Execute(host::Command::NamelessFree(name, std::move(freed)));
+  }
+}
+
+void HostMap::FinishFree(FreeBatch* fb) {
+  StatusCb cb = std::move(fb->cb);
+  const Status st = fb->first_error;
+  fb->names.clear();
+  frees_.Recycle(fb);
+  cb(st);
 }
 
 void HostMap::OnMigration(std::uint64_t old_name, std::uint64_t new_name) {
-  auto it = name_to_page_.find(old_name);
-  if (it != name_to_page_.end()) {
-    const PageId page = it->second;
-    name_to_page_.erase(it);
-    name_to_page_[new_name] = page;
-    map_[page] = new_name;
-    counters_.Increment("migrations");
+  NameEntry* e = Find(old_name);
+  if (e == nullptr) {
+    counters_.Increment("stale_migrations");
     return;
   }
-  // A retired (not-yet-freed) copy can be migrated too; track it so the
-  // eventual free hits the right name instead of leaking the page.
-  for (std::uint64_t& name : retired_) {
-    if (name == old_name) {
-      name = new_name;
-      counters_.Increment("retired_migrations");
-      return;
-    }
+  const std::uint64_t holder = e->holder;
+  e->name = kNoName;
+  Index(new_name, holder);
+  if ((holder & kRetired) != 0) {
+    // A retired (not-yet-freed) copy can be migrated too; track it so
+    // the eventual free hits the right name instead of leaking the page.
+    retired_[holder & ~kRetired] = new_name;
+    counters_.Increment("retired_migrations");
+    return;
   }
-  counters_.Increment("stale_migrations");
+  name_of_[holder] = new_name;
+  counters_.Increment("migrations");
+}
+
+void HostMap::Index(std::uint64_t name, std::uint64_t holder) {
+  const std::uint64_t slot = host::NameSlot(name);
+  if (slot >= by_slot_.size()) {
+    by_slot_.resize(std::max<std::uint64_t>(slot + 1, by_slot_.size() * 2));
+  }
+  by_slot_[slot] = NameEntry{name, holder};
+}
+
+HostMap::NameEntry* HostMap::Find(std::uint64_t name) {
+  const std::uint64_t slot = host::NameSlot(name);
+  if (slot >= by_slot_.size() || by_slot_[slot].name != name) return nullptr;
+  return &by_slot_[slot];
+}
+
+void HostMap::Retire(PageId page) {
+  const std::uint64_t name = name_of_[page];
+  Index(name, kRetired | retired_.size());
+  retired_.push_back(name);
+  name_of_[page] = kNoName;
 }
 
 void HostMap::Crash() {
   counters_.Increment("crashes");
-  map_.clear();
-  name_to_page_.clear();
+  ++generation_;
+  std::fill(name_of_.begin(), name_of_.end(), kNoName);
+  std::fill(by_slot_.begin(), by_slot_.end(), NameEntry{});
+  live_ = 0;
   retired_.clear();
+  requests_.ReleaseAll();
+  frees_.ReleaseAll();
 }
 
 void HostMap::Adopt(PageId page, std::uint64_t name) {
-  map_[page] = name;
-  name_to_page_[name] = page;
+  if (page >= name_of_.size()) name_of_.resize(page + 1, kNoName);
+  if (name_of_[page] == kNoName) {
+    ++live_;
+  } else if (NameEntry* e = Find(name_of_[page])) {
+    e->name = kNoName;
+  }
+  name_of_[page] = name;
+  Index(name, page);
 }
 
 bool HostMap::Lookup(PageId page, std::uint64_t* name) const {
-  auto it = map_.find(page);
-  if (it == map_.end()) return false;
-  if (name != nullptr) *name = it->second;
+  if (page >= name_of_.size() || name_of_[page] == kNoName) return false;
+  if (name != nullptr) *name = name_of_[page];
   return true;
 }
 

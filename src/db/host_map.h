@@ -2,14 +2,14 @@
 #define POSTBLOCK_DB_HOST_MAP_H_
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "blocklayer/block_device.h"
 #include "common/stats.h"
 #include "db/page.h"
 #include "host/command.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -40,6 +40,8 @@ namespace postblock::db {
 /// (names + OOB owner stamps) and re-Adopt()s the surviving copies.
 class HostMap : public blocklayer::BlockDevice {
  public:
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+
   /// `dev` is the typed stack underneath (it must speak nameless — the
   /// storage manager probes Caps() before wiring this in). `num_pages`
   /// is the advertised logical capacity, `page_bytes` the page size.
@@ -66,11 +68,12 @@ class HostMap : public blocklayer::BlockDevice {
   /// until then the old copies are the recovery image. NotFound on an
   /// individual free is tolerated (the device migrated-and-told-us or a
   /// crash already reclaimed it).
-  void FreeRetired(std::function<void(Status)> cb);
+  void FreeRetired(StatusCb cb);
   std::size_t retired() const { return retired_.size(); }
 
   // --- Recovery (storage manager) ------------------------------------
-  /// Power loss: the map is volatile host state.
+  /// Power loss: the map is volatile host state, and every request in
+  /// flight is dropped (its callback never runs).
   void Crash();
   /// Re-adopts a surviving copy found by the post-crash LiveNames scan.
   void Adopt(PageId page, std::uint64_t name);
@@ -79,17 +82,53 @@ class HostMap : public blocklayer::BlockDevice {
   /// Host DRAM the mapping occupies: 16 B per *live* page (id + name) —
   /// the number the crossover study reports against the device-side
   /// page map's 8 B per *logical* page.
-  std::uint64_t MappingBytes() const { return map_.size() * 16; }
-  std::size_t live() const { return map_.size(); }
+  std::uint64_t MappingBytes() const { return live_ * 16; }
+  std::size_t live() const { return live_; }
   /// Current name of a page id, or false (tests).
   bool Lookup(PageId page, std::uint64_t* name) const;
 
  private:
-  void ReadPage(PageId page, int tries,
-                std::function<void(Status, std::uint64_t)> done);
-  void WritePage(PageId page, std::uint64_t token,
-                 std::function<void(Status)> done);
+  static constexpr std::uint64_t kNoName = ~0ull;
+  /// Holder tag of a retired name: kRetired | its index in retired_.
+  static constexpr std::uint64_t kRetired = 1ull << 63;
+
+  /// One block-layer request in flight, pooled; each page's device
+  /// command captures {this, request, page index, epoch}. The result's
+  /// token buffer keeps its capacity across requests.
+  struct Request {
+    std::uint32_t remaining = 0;
+    blocklayer::IoResult result;
+    blocklayer::IoCallback cb;
+  };
+  /// One FreeRetired batch in flight, pooled; `names` swaps buffers
+  /// with retired_, so neither ever reallocates in steady state.
+  struct FreeBatch {
+    std::size_t remaining = 0;
+    Status first_error;
+    std::vector<std::uint64_t> names;
+    StatusCb cb;
+  };
+  /// The reverse map's entry for one name slot (host::NameSlot): the
+  /// name it holds and who owns it — a page id, or kRetired | index.
+  struct NameEntry {
+    std::uint64_t name = kNoName;
+    std::uint64_t holder = 0;
+  };
+
+  void ReadPage(Request* r, std::uint32_t index, PageId page,
+                std::uint32_t tries);
+  void WritePage(Request* r, std::uint32_t index, PageId page,
+                 std::uint64_t token);
+  void OnPageDone(Request* r, std::uint32_t index, const Status& st,
+                  std::uint64_t token);
+  void FinishFree(FreeBatch* fb);
   void OnMigration(std::uint64_t old_name, std::uint64_t new_name);
+
+  void Index(std::uint64_t name, std::uint64_t holder);
+  NameEntry* Find(std::uint64_t name);
+  /// Moves a page's current name to the retired list (the page keeps
+  /// no name of its own until the caller assigns one).
+  void Retire(PageId page);
 
   sim::Simulator* sim_;
   host::HostInterface* dev_;
@@ -97,14 +136,21 @@ class HostMap : public blocklayer::BlockDevice {
   std::uint32_t page_bytes_;
 
   std::uint64_t epoch_ = 0;
+  /// Bumped by Crash: continuations of an older generation are dropped
+  /// without touching their (reclaimed) records.
+  std::uint64_t generation_ = 0;
 
   /// The host-owned L2P, both directions (migration callbacks arrive
-  /// name-first).
-  std::unordered_map<PageId, std::uint64_t> map_;
-  std::unordered_map<std::uint64_t, PageId> name_to_page_;
+  /// name-first), both dense: page ids are below num_pages_, and a
+  /// name's slot is the physical page it names.
+  std::vector<std::uint64_t> name_of_;  // page id -> name (kNoName)
+  std::vector<NameEntry> by_slot_;      // NameSlot(name) -> holder
+  std::size_t live_ = 0;
   /// Old copies awaiting the post-commit free.
   std::vector<std::uint64_t> retired_;
 
+  sim::ObjectPool<Request> requests_;
+  sim::ObjectPool<FreeBatch> frees_;
   Counters counters_;
 };
 

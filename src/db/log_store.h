@@ -2,7 +2,6 @@
 #define POSTBLOCK_DB_LOG_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/statusor.h"
+#include "sim/inplace_callback.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -41,8 +41,8 @@ class LogStructuredStore {
     bool trim_dead_segments = true;
   };
 
-  using StatusCb = std::function<void(Status)>;
-  using GetCb = std::function<void(StatusOr<std::uint64_t>)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using GetCb = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;
 
   LogStructuredStore(sim::Simulator* sim, blocklayer::BlockDevice* device,
                      const Options& options);
@@ -103,6 +103,9 @@ class LogStructuredStore {
   void SealActiveIfFull();
   void MaybeCompact();
   void CompactSegment(std::uint32_t victim);
+  /// Rewrites the live records of `victim`'s page `page`, then moves on
+  /// to the next page (releasing the segment after the last one).
+  void CompactPage(std::uint32_t victim, std::uint32_t page);
   void GetAttempt(std::uint64_t key, int tries, GetCb cb);
 
   sim::Simulator* sim_;

@@ -2,7 +2,7 @@
 #define POSTBLOCK_DB_PAGE_IMAGE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 namespace postblock::db {
@@ -23,23 +23,23 @@ class PageImageStore {
   /// Registers one page image, returning its token (never 0; token 0 is
   /// the "never written / trimmed" all-zeroes page).
   std::uint64_t Register(std::vector<std::uint8_t> bytes) {
-    const std::uint64_t token = next_token_++;
-    images_[token] = std::move(bytes);
-    return token;
+    images_.push_back(std::move(bytes));
+    return images_.size();
   }
 
   /// Bytes for a token previously returned by Register. Token 0 or an
   /// unknown token yields nullptr (callers substitute a zero page).
   const std::vector<std::uint8_t>* Fetch(std::uint64_t token) const {
-    auto it = images_.find(token);
-    return it == images_.end() ? nullptr : &it->second;
+    return token == 0 || token > images_.size() ? nullptr
+                                                : &images_[token - 1];
   }
 
   std::size_t size() const { return images_.size(); }
 
  private:
-  std::uint64_t next_token_ = 1;
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> images_;
+  /// Image of token t at t - 1: tokens are issued densely from 1, and a
+  /// deque keeps earlier images in place as it grows.
+  std::deque<std::vector<std::uint8_t>> images_;
 };
 
 }  // namespace postblock::db

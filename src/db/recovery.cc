@@ -16,7 +16,7 @@
 namespace postblock::db {
 
 /// Drives the asynchronous replay: one WAL batch at a time, each batch's
-/// ops applied in order.
+/// ops applied in order (as a pooled transaction that skips the log).
 struct RecoveryDriver {
   StorageManager* manager;
   std::vector<WalBatch> batches;
@@ -30,16 +30,18 @@ struct RecoveryDriver {
       self->cb(Status::Ok());
       return;
     }
-    auto ops = std::make_shared<std::vector<WalOp>>(
-        std::move(self->batches[self->index].ops));
+    StorageManager::TxnOp* op = self->manager->txns_.Acquire();
+    op->batch.ops = std::move(self->batches[self->index].ops);
+    op->next = 0;
     ++self->index;
-    self->manager->ApplyOps(ops, 0, [self](Status st) {
+    op->cb = [self](Status st) {
       if (!st.ok()) {
         self->cb(std::move(st));
         return;
       }
       Run(self);
-    });
+    };
+    self->manager->ApplyNext(op);
   }
 };
 
@@ -111,16 +113,15 @@ void StorageManager::RebuildHostMap(StatusCb cb) {
   // Reclaim the junk before replay so the append device gets its space
   // back. NotFound is tolerated (a migration may have renamed a copy
   // between scan and free — the generation guard makes that benign).
-  auto remaining = std::make_shared<std::size_t>(junk.size());
-  auto shared_cb =
-      std::make_shared<std::function<void(Status)>>(std::move(cb));
+  PageBatch* op = batches_.Acquire();
+  op->remaining = junk.size();
+  op->cb = std::move(cb);
   for (std::uint64_t name : junk) {
     direct_->Execute(host::Command::NamelessFree(
-        name, blocklayer::IoCallback(
-                  [remaining, shared_cb](const blocklayer::IoResult& res) {
-                    (void)res;  // NotFound tolerated
-                    if (--*remaining == 0) (*shared_cb)(Status::Ok());
-                  })));
+        name, [this, op](const blocklayer::IoResult&) {
+          // NotFound tolerated.
+          if (--op->remaining == 0) FinishBatch(op, Status::Ok());
+        }));
   }
 }
 

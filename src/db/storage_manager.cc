@@ -115,11 +115,17 @@ void StorageManager::Bootstrap(StatusCb cb) {
 
 void StorageManager::Put(std::uint64_t key, std::uint64_t value,
                          StatusCb cb) {
-  CommitBatch({WalOp{WalOp::Kind::kPut, key, value}}, std::move(cb));
+  TxnOp* op = txns_.Acquire();
+  op->batch.ops.push_back(WalOp{WalOp::Kind::kPut, key, value});
+  op->cb = std::move(cb);
+  Commit(op);
 }
 
 void StorageManager::Delete(std::uint64_t key, StatusCb cb) {
-  CommitBatch({WalOp{WalOp::Kind::kDelete, key, 0}}, std::move(cb));
+  TxnOp* op = txns_.Acquire();
+  op->batch.ops.push_back(WalOp{WalOp::Kind::kDelete, key, 0});
+  op->cb = std::move(cb);
+  Commit(op);
 }
 
 void StorageManager::Get(std::uint64_t key, GetCb cb) {
@@ -128,144 +134,174 @@ void StorageManager::Get(std::uint64_t key, GetCb cb) {
 }
 
 void StorageManager::CommitBatch(std::vector<WalOp> ops, StatusCb cb) {
-  counters_.Increment("txns");
-  if (metrics_ != nullptr) metrics_->Increment(m_txns_);
-  WalBatch batch;
-  batch.txn_id = next_txn_id_++;
-  batch.ops = std::move(ops);
-  const SimTime start = sim_->Now();
-  auto shared_ops = std::make_shared<std::vector<WalOp>>(batch.ops);
-  wal_->Commit(batch, [this, shared_ops, start,
-                       cb = std::move(cb)](Status st) mutable {
-    const SimTime latency = sim_->Now() - start;
-    commit_latency_.Record(latency);
-    if (metrics_ != nullptr) metrics_->Record(m_commit_lat_, latency);
-    if (!st.ok()) {
-      cb(std::move(st));
-      return;
-    }
-    // Deferred update: the transaction is durable (redo-logged); now
-    // apply it to the tree in memory.
-    ApplyOps(shared_ops, 0, std::move(cb));
-  });
+  TxnOp* op = txns_.Acquire();
+  op->batch.ops = std::move(ops);
+  op->cb = std::move(cb);
+  Commit(op);
 }
 
-void StorageManager::ApplyOps(std::shared_ptr<std::vector<WalOp>> ops,
-                              std::size_t index, StatusCb cb) {
-  if (index >= ops->size()) {
-    cb(Status::Ok());
+void StorageManager::Commit(TxnOp* op) {
+  counters_.Increment("txns");
+  if (metrics_ != nullptr) metrics_->Increment(m_txns_);
+  op->batch.txn_id = next_txn_id_++;
+  op->start = sim_->Now();
+  auto committed = [this, op](Status st) { OnCommitted(op, std::move(st)); };
+  static_assert(Wal::StatusCb::fits<decltype(committed)>());
+  wal_->Commit(op->batch, std::move(committed));
+}
+
+void StorageManager::OnCommitted(TxnOp* op, Status st) {
+  const SimTime latency = sim_->Now() - op->start;
+  commit_latency_.Record(latency);
+  if (metrics_ != nullptr) metrics_->Record(m_commit_lat_, latency);
+  if (!st.ok()) {
+    FinishTxn(op, std::move(st));
     return;
   }
-  const WalOp& op = (*ops)[index];
-  auto next = [this, ops, index, cb = std::move(cb)](Status st) mutable {
+  // Deferred update: the transaction is durable (redo-logged); now
+  // apply it to the tree in memory.
+  op->next = 0;
+  ApplyNext(op);
+}
+
+void StorageManager::ApplyNext(TxnOp* op) {
+  if (op->next >= op->batch.ops.size()) {
+    FinishTxn(op, Status::Ok());
+    return;
+  }
+  const WalOp& w = op->batch.ops[op->next++];
+  auto applied = [this, op](Status st) {
     if (!st.ok()) {
-      cb(std::move(st));
+      FinishTxn(op, std::move(st));
       return;
     }
-    ApplyOps(ops, index + 1, std::move(cb));
+    ApplyNext(op);
   };
-  if (op.kind == WalOp::Kind::kPut) {
-    tree_->Put(op.key, op.value, std::move(next));
+  static_assert(BTree::StatusCb::fits<decltype(applied)>());
+  if (w.kind == WalOp::Kind::kPut) {
+    tree_->Put(w.key, w.value, std::move(applied));
   } else {
-    tree_->Delete(op.key, std::move(next));
+    tree_->Delete(w.key, std::move(applied));
   }
+}
+
+void StorageManager::FinishTxn(TxnOp* op, Status st) {
+  StatusCb cb = std::move(op->cb);
+  op->batch.ops.clear();
+  txns_.Recycle(op);
+  cb(std::move(st));
 }
 
 void StorageManager::Checkpoint(StatusCb cb) {
   counters_.Increment("checkpoints");
+  PageBatch* op = batches_.Acquire();
+  op->cb = std::move(cb);
   // Stage the meta page alongside the data pages so the whole snapshot
   // lands together.
-  pool_->Pin(0, [this, cb = std::move(cb)](StatusOr<Frame*> meta) mutable {
-    if (!meta.ok()) {
-      cb(meta.status());
-      return;
-    }
-    WriteMetaInto(*meta);
-    pool_->Unpin(0, /*dirty=*/true);
-
-    auto after_flush = [this, cb = std::move(cb)](Status st) mutable {
-      if (!st.ok()) {
-        cb(std::move(st));
-        return;
-      }
-      wal_->Truncate(std::move(cb));
-    };
-
-    if (config_.wiring == Wiring::kVision && host_map_ != nullptr) {
-      // Post-block checkpoint: no atomic-write command needed — the
-      // epoch protocol makes the meta page the commit point.
-      CheckpointNameless(std::move(after_flush));
-      return;
-    }
-    if (config_.wiring == Wiring::kVision &&
-        device_->page_ftl() != nullptr) {
-      // Atomic checkpoint: every dirty page + meta flips visibility as
-      // one group — no torn-checkpoint window (the paper's atomic-write
-      // command, ref [17]).
-      std::vector<std::pair<Lba, std::uint64_t>> group;
-      std::vector<PageId> ids;
-      for (Frame* frame : pool_->DirtyFrames()) {
-        group.emplace_back(frame->id, images_.Register(frame->bytes));
-        ids.push_back(frame->id);
-      }
-      counters_.Add("checkpoint_pages", group.size());
-      device_->page_ftl()->WriteAtomic(
-          std::move(group),
-          [this, ids = std::move(ids),
-           after_flush = std::move(after_flush)](Status st) mutable {
-            if (st.ok()) {
-              for (PageId id : ids) pool_->MarkClean(id);
-            }
-            after_flush(std::move(st));
-          });
-      return;
-    }
-    // Classic: plain write-back of each dirty page + flush barrier.
-    pool_->FlushAll(std::move(after_flush));
-  });
+  auto pinned = [this, op](StatusOr<Frame*> meta) {
+    OnMetaPinned(op, std::move(meta));
+  };
+  static_assert(BufferPool::PinCallback::fits<decltype(pinned)>());
+  pool_->Pin(0, std::move(pinned));
 }
 
-void StorageManager::CheckpointNameless(StatusCb cb) {
+void StorageManager::OnMetaPinned(PageBatch* op, StatusOr<Frame*> meta) {
+  if (!meta.ok()) {
+    FinishBatch(op, meta.status());
+    return;
+  }
+  WriteMetaInto(*meta);
+  pool_->Unpin(0, /*dirty=*/true);
+
+  if (config_.wiring == Wiring::kVision && host_map_ != nullptr) {
+    // Post-block checkpoint: no atomic-write command needed — the
+    // epoch protocol makes the meta page the commit point.
+    CheckpointNameless(op);
+    return;
+  }
+  if (config_.wiring == Wiring::kVision && device_->page_ftl() != nullptr) {
+    // Atomic checkpoint: every dirty page + meta flips visibility as
+    // one group — no torn-checkpoint window (the paper's atomic-write
+    // command, ref [17]).
+    std::vector<std::pair<Lba, std::uint64_t>> group;
+    op->ids.clear();
+    pool_->DirtyFrames(&dirty_frames_);
+    for (Frame* frame : dirty_frames_) {
+      group.emplace_back(frame->id, images_.Register(frame->bytes));
+      op->ids.push_back(frame->id);
+    }
+    counters_.Add("checkpoint_pages", group.size());
+    device_->page_ftl()->WriteAtomic(std::move(group), [this, op](Status st) {
+      if (st.ok()) {
+        for (PageId id : op->ids) pool_->MarkClean(id);
+      }
+      AfterFlush(op, std::move(st));
+    });
+    return;
+  }
+  // Classic: plain write-back of each dirty page + flush barrier.
+  pool_->FlushAll([this, op](Status st) { AfterFlush(op, std::move(st)); });
+}
+
+void StorageManager::AfterFlush(PageBatch* op, Status st) {
+  if (!st.ok()) {
+    FinishBatch(op, std::move(st));
+    return;
+  }
+  wal_->Truncate([this, op](Status done) { FinishBatch(op, std::move(done)); });
+}
+
+void StorageManager::FinishBatch(PageBatch* op, Status st) {
+  StatusCb cb = std::move(op->cb);
+  op->ids.clear();
+  batches_.Recycle(op);
+  cb(std::move(st));
+}
+
+void StorageManager::CheckpointNameless(PageBatch* op) {
   // Every page in this checkpoint is written under epoch S+1 while the
   // committed checkpoint is still S; old copies are retired, not freed.
   // The meta page (owner 0) is written *last*: the instant it lands,
   // epoch S+1 is the recovery image. Only then do the retired copies
   // die — a crash anywhere earlier leaves epoch S fully intact.
   host_map_->set_epoch(ckpt_seq_ + 1);
-  std::vector<PageId> dirty;
-  for (Frame* frame : pool_->DirtyFrames()) {
-    if (frame->id != 0) dirty.push_back(frame->id);
+  op->ids.clear();
+  pool_->DirtyFrames(&dirty_frames_);
+  for (Frame* frame : dirty_frames_) {
+    if (frame->id != 0) op->ids.push_back(frame->id);
   }
-  std::sort(dirty.begin(), dirty.end());
-  counters_.Add("checkpoint_pages", dirty.size() + 1);
-  auto write_meta = [this, cb = std::move(cb)](Status st) mutable {
-    if (!st.ok()) {
-      cb(std::move(st));
-      return;
-    }
-    pool_->FlushPage(0, [this, cb = std::move(cb)](Status st2) mutable {
-      if (!st2.ok()) {
-        cb(std::move(st2));
-        return;
-      }
-      ++ckpt_seq_;  // the commit point is durable
-      host_map_->FreeRetired(std::move(cb));
-    });
-  };
-  if (dirty.empty()) {
-    write_meta(Status::Ok());
+  std::sort(op->ids.begin(), op->ids.end());
+  counters_.Add("checkpoint_pages", op->ids.size() + 1);
+  if (op->ids.empty()) {
+    WriteMetaLast(op, Status::Ok());
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(dirty.size());
-  auto first_error = std::make_shared<Status>(Status::Ok());
-  auto then = std::make_shared<std::function<void(Status)>>(
-      std::move(write_meta));
-  for (PageId id : dirty) {
-    pool_->FlushPage(id, [remaining, first_error, then](Status st) {
-      if (!st.ok() && first_error->ok()) *first_error = std::move(st);
-      if (--*remaining == 0) (*then)(std::move(*first_error));
-    });
+  op->remaining = op->ids.size();
+  op->first_error = Status::Ok();
+  for (PageId id : op->ids) {
+    auto flushed = [this, op](Status st) {
+      if (!st.ok() && op->first_error.ok()) op->first_error = std::move(st);
+      if (--op->remaining == 0) WriteMetaLast(op, op->first_error);
+    };
+    static_assert(BufferPool::StatusCb::fits<decltype(flushed)>());
+    pool_->FlushPage(id, std::move(flushed));
   }
+}
+
+void StorageManager::WriteMetaLast(PageBatch* op, Status st) {
+  if (!st.ok()) {
+    AfterFlush(op, std::move(st));
+    return;
+  }
+  pool_->FlushPage(0, [this, op](Status st2) {
+    if (!st2.ok()) {
+      AfterFlush(op, std::move(st2));
+      return;
+    }
+    ++ckpt_seq_;  // the commit point is durable
+    host_map_->FreeRetired(
+        [this, op](Status st3) { AfterFlush(op, std::move(st3)); });
+  });
 }
 
 Status StorageManager::SimulateCrash() {
@@ -278,12 +314,17 @@ Status StorageManager::SimulateCrash() {
     pcm_->PowerCycle();
     pcm_log_->ResetAfterCrash();
   }
+  store_->PowerCycle();
   if (direct_ != nullptr) direct_->PowerCycle();
   if (block_layer_ != nullptr) block_layer_->PowerCycle();
   pool_->PowerCycle();
   // The host-owned map is DRAM: gone. Recover() rebuilds it from the
   // device's live-names scan.
   if (host_map_ != nullptr) host_map_->Crash();
+  // Every transaction and checkpoint in flight died with the stack
+  // below, whose callbacks into them will never run.
+  txns_.ReleaseAll();
+  batches_.ReleaseAll();
   // Volatile host objects (tree/heap/wal handles) are rebuilt empty;
   // Recover() re-attaches them to the durable state.
   RebuildVolatileState();

@@ -2,7 +2,6 @@
 #define POSTBLOCK_DB_STORAGE_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,6 +18,8 @@
 #include "db/wal.h"
 #include "metrics/metrics.h"
 #include "pcm/pcm_device.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "ssd/device.h"
 
 namespace postblock::db {
@@ -65,7 +66,7 @@ struct StorageConfig {
 /// architectures can race (bench E7/E8).
 class StorageManager {
  public:
-  using StatusCb = std::function<void(Status)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
   using GetCb = BTree::GetCb;
 
   StorageManager(sim::Simulator* sim, ssd::Device* device,
@@ -95,7 +96,8 @@ class StorageManager {
   void Checkpoint(StatusCb cb);
 
   /// Simulates power loss: device loses volatile state; every cached
-  /// frame and in-flight completion is gone. Call Recover() next.
+  /// frame and in-flight completion is gone (no callback of an op in
+  /// flight ever runs). Call Recover() next.
   Status SimulateCrash();
 
   /// Rebuilds from the last checkpoint + WAL replay.
@@ -124,17 +126,44 @@ class StorageManager {
  private:
   friend struct RecoveryDriver;
 
+  /// One transaction, pooled: its WAL commit, then the deferred apply of
+  /// its ops, one tree op at a time. Every continuation captures
+  /// {this, op}; `batch.ops` keeps its capacity across transactions.
+  struct TxnOp {
+    WalBatch batch;
+    std::size_t next = 0;  // next op to apply
+    SimTime start = 0;
+    StatusCb cb;
+  };
+  /// A fan-out of page IOs (a checkpoint's flushes, recovery's junk
+  /// frees), pooled: `cb` runs after the last one.
+  struct PageBatch {
+    StatusCb cb;
+    std::size_t remaining = 0;
+    Status first_error;
+    std::vector<PageId> ids;
+  };
+
   PageId AllocPage() { return next_page_id_++; }
   void WriteMetaInto(Frame* frame);
   void ReadMetaFrom(Frame* frame);
-  void ApplyOps(std::shared_ptr<std::vector<WalOp>> ops, std::size_t index,
-                StatusCb cb);
+  /// Logs `op` (WAL durability), then applies it.
+  void Commit(TxnOp* op);
+  void OnCommitted(TxnOp* op, Status st);
+  /// Applies op->batch.ops[op->next..] to the tree, in order.
+  void ApplyNext(TxnOp* op);
+  void FinishTxn(TxnOp* op, Status st);
   void RebuildVolatileState();
   std::uint64_t DataRegionBlocks() const;
+  void OnMetaPinned(PageBatch* op, StatusOr<Frame*> meta);
+  /// A checkpoint's pages are durable (or failed): truncate the WAL.
+  void AfterFlush(PageBatch* op, Status st);
+  void FinishBatch(PageBatch* op, Status st);
   /// Post-block checkpoint: epoch-tagged nameless writes of every dirty
   /// data page, then the meta page last (the commit point), then frees
   /// of the superseded copies.
-  void CheckpointNameless(StatusCb cb);
+  void CheckpointNameless(PageBatch* op);
+  void WriteMetaLast(PageBatch* op, Status st);
   /// Post-crash: rebuilds the host map from the device's LiveNames scan
   /// (adopt the newest copy with epoch <= the committed checkpoint,
   /// free orphans and superseded copies).
@@ -168,6 +197,9 @@ class StorageManager {
   /// Committed checkpoint epoch (nameless checkpoints stamp S+1 while
   /// building, bump to S+1 once the meta page is durable).
   std::uint64_t ckpt_seq_ = 0;
+  sim::ObjectPool<TxnOp> txns_;
+  sim::ObjectPool<PageBatch> batches_;
+  std::vector<Frame*> dirty_frames_;  // checkpoint scratch
   Counters counters_;
   Histogram commit_latency_;
 

@@ -309,7 +309,19 @@ void AppendFtl::NamelessFree(std::uint64_t name, WriteCallback cb,
   --live_count_[flat_block];
   --live_pages_;
   EraseIfDead(ppa.Block());
-  PostGuarded(std::move(cb), Status::Ok());
+  // Completes like PostGuarded, with the callback parked in a pooled
+  // slot so the event captures only {this, slot, epoch}.
+  WriteCallback* slot = frees_.Acquire();
+  *slot = std::move(cb);
+  const std::uint64_t epoch = epoch_;
+  auto freed = [this, slot, epoch]() {
+    if (epoch != epoch_) return;
+    WriteCallback free_cb = std::move(*slot);
+    frees_.Release(slot);
+    free_cb(Status::Ok());
+  };
+  static_assert(sim::InplaceCallback::fits<decltype(freed)>());
+  controller_->sim()->Schedule(0, std::move(freed));
 }
 
 void AppendFtl::EraseIfDead(const flash::BlockAddr& block) {
@@ -561,6 +573,7 @@ Status AppendFtl::PowerCycle() {
   queue_.clear();
   appends_.ReleaseAll();
   reads_.ReleaseAll();
+  frees_.ReleaseAll();
   refresh_queue_.clear();
   migrating_ = false;
   pending_reclaims_ = 0;

@@ -230,6 +230,7 @@ class AppendFtl : public Ftl {
 
   sim::ObjectPool<PendingAppend> appends_;
   sim::ObjectPool<ReadCallback> reads_;  // NamelessRead in flight
+  sim::ObjectPool<WriteCallback> frees_;  // NamelessFree completions
   std::deque<PendingAppend*> queue_;  // appends waiting on free blocks
 
   bool migrating_ = false;

@@ -32,54 +32,84 @@ SimTime PcmDevice::WriteLatency(std::uint64_t len) const {
   return lines * config_.write_ns_per_line;
 }
 
-void PcmDevice::Write(std::uint64_t addr, std::vector<std::uint8_t> data,
-                      std::function<void(Status)> on_done) {
+void PcmDevice::Write(std::uint64_t addr,
+                      const std::vector<std::uint8_t>& data,
+                      DoneCallback on_done) {
   if (addr + data.size() > config_.capacity_bytes) {
     on_done(Status::OutOfRange("pcm write beyond capacity"));
     return;
   }
-  const SimTime latency = WriteLatency(data.size());
-  const std::uint64_t first_line = addr / config_.line_bytes;
-  const std::uint64_t lines = LinesFor(addr, data.size());
   counters_.Increment("writes");
-  counters_.Add("lines_written", lines);
-  const std::uint64_t epoch = epoch_;
-  bus_.Acquire([this, addr, data = std::move(data), latency, first_line,
-                lines, epoch, on_done = std::move(on_done)]() mutable {
-    sim_->Schedule(latency, [this, addr, data = std::move(data), first_line,
-                             lines, epoch,
-                             on_done = std::move(on_done)]() {
-      bus_.Release();
-      if (epoch != epoch_) return;  // power cut mid-store: bytes lost
-      std::memcpy(bytes_.data() + addr, data.data(), data.size());
-      for (std::uint64_t l = 0; l < lines; ++l) {
-        ++line_wear_[first_line + l];
-      }
-      on_done(Status::Ok());
-    });
-  });
+  counters_.Add("lines_written", LinesFor(addr, data.size()));
+  AccessOp* op = ops_.Acquire();
+  op->addr = addr;
+  op->len = data.size();
+  op->latency = WriteLatency(data.size());
+  op->epoch = epoch_;
+  op->data.assign(data.begin(), data.end());
+  op->on_write = std::move(on_done);
+  auto granted = [this, op]() {
+    auto landed = [this, op]() { LandWrite(op); };
+    static_assert(sim::InplaceCallback::fits<decltype(landed)>());
+    sim_->Schedule(op->latency, std::move(landed));
+  };
+  static_assert(sim::Resource::Grant::fits<decltype(granted)>());
+  bus_.Acquire(std::move(granted));
 }
 
-void PcmDevice::Read(
-    std::uint64_t addr, std::uint64_t len,
-    std::function<void(StatusOr<std::vector<std::uint8_t>>)> on_done) {
+void PcmDevice::LandWrite(AccessOp* op) {
+  bus_.Release();
+  if (op->epoch != epoch_) {  // power cut mid-store: bytes lost
+    Recycle(op);
+    return;
+  }
+  std::memcpy(bytes_.data() + op->addr, op->data.data(), op->len);
+  const std::uint64_t first_line = op->addr / config_.line_bytes;
+  const std::uint64_t lines = LinesFor(op->addr, op->len);
+  for (std::uint64_t l = 0; l < lines; ++l) ++line_wear_[first_line + l];
+  DoneCallback cb = std::move(op->on_write);
+  Recycle(op);
+  cb(Status::Ok());
+}
+
+void PcmDevice::Read(std::uint64_t addr, std::uint64_t len,
+                     ReadCallback on_done) {
   if (addr + len > config_.capacity_bytes) {
     on_done(Status::OutOfRange("pcm read beyond capacity"));
     return;
   }
-  const SimTime latency = ReadLatency(len);
   counters_.Increment("reads");
-  const std::uint64_t epoch = epoch_;
-  bus_.Acquire([this, addr, len, latency, epoch,
-                on_done = std::move(on_done)]() {
-    sim_->Schedule(latency, [this, addr, len, epoch, on_done]() {
-      bus_.Release();
-      if (epoch != epoch_) return;  // power cut: caller is gone
-      std::vector<std::uint8_t> out(bytes_.begin() + addr,
-                                    bytes_.begin() + addr + len);
-      on_done(std::move(out));
-    });
-  });
+  AccessOp* op = ops_.Acquire();
+  op->addr = addr;
+  op->len = len;
+  op->latency = ReadLatency(len);
+  op->epoch = epoch_;
+  op->on_read = std::move(on_done);
+  auto granted = [this, op]() {
+    sim_->Schedule(op->latency, [this, op]() { LandRead(op); });
+  };
+  static_assert(sim::Resource::Grant::fits<decltype(granted)>());
+  bus_.Acquire(std::move(granted));
+}
+
+void PcmDevice::LandRead(AccessOp* op) {
+  bus_.Release();
+  if (op->epoch != epoch_) {  // power cut: caller is gone
+    Recycle(op);
+    return;
+  }
+  std::vector<std::uint8_t> out(bytes_.begin() + op->addr,
+                                bytes_.begin() + op->addr + op->len);
+  ReadCallback cb = std::move(op->on_read);
+  Recycle(op);
+  cb(std::move(out));
+}
+
+void PcmDevice::Recycle(AccessOp* op) {
+  op->data.clear();
+  op->on_write = nullptr;
+  op->on_read = nullptr;
+  ops_.Recycle(op);
 }
 
 StatusOr<std::vector<std::uint8_t>> PcmDevice::Peek(std::uint64_t addr,

@@ -9,6 +9,8 @@
 #include "common/statusor.h"
 #include "common/types.h"
 #include "metrics/metrics.h"
+#include "sim/inplace_callback.h"
+#include "sim/object_pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -32,6 +34,10 @@ struct PcmConfig {
 /// no block indirection, no erase, no garbage collection.
 class PcmDevice {
  public:
+  using DoneCallback = sim::InplaceFunction<void(Status)>;
+  using ReadCallback =
+      sim::InplaceFunction<void(StatusOr<std::vector<std::uint8_t>>)>;
+
   PcmDevice(sim::Simulator* sim, const PcmConfig& config);
 
   PcmDevice(const PcmDevice&) = delete;
@@ -39,14 +45,14 @@ class PcmDevice {
 
   const PcmConfig& config() const { return config_; }
 
-  /// Persists `data` at byte offset `addr`. Completion fires after the
-  /// store reaches the device (write-through; no volatile cache).
-  void Write(std::uint64_t addr, std::vector<std::uint8_t> data,
-             std::function<void(Status)> on_done);
+  /// Persists a copy of `data` at byte offset `addr`. Completion fires
+  /// after the store reaches the device (write-through; no volatile
+  /// cache).
+  void Write(std::uint64_t addr, const std::vector<std::uint8_t>& data,
+             DoneCallback on_done);
 
   /// Reads `len` bytes from `addr`.
-  void Read(std::uint64_t addr, std::uint64_t len,
-            std::function<void(StatusOr<std::vector<std::uint8_t>>)> on_done);
+  void Read(std::uint64_t addr, std::uint64_t len, ReadCallback on_done);
 
   /// Synchronous state inspection for tests (no timing).
   StatusOr<std::vector<std::uint8_t>> Peek(std::uint64_t addr,
@@ -73,7 +79,23 @@ class PcmDevice {
   void RegisterMetrics(metrics::MetricRegistry* m);
 
  private:
+  /// One store or load from its call to its completion, pooled; the bus
+  /// grant and the latency event capture {this, op}. A store keeps its
+  /// own copy of the bytes (the buffer keeps its capacity across uses).
+  struct AccessOp {
+    std::uint64_t addr = 0;
+    std::uint64_t len = 0;
+    SimTime latency = 0;
+    std::uint64_t epoch = 0;
+    std::vector<std::uint8_t> data;  // stores only
+    DoneCallback on_write;
+    ReadCallback on_read;
+  };
+
   std::uint64_t LinesFor(std::uint64_t addr, std::uint64_t len) const;
+  void LandWrite(AccessOp* op);
+  void LandRead(AccessOp* op);
+  void Recycle(AccessOp* op);
 
   sim::Simulator* sim_;
   PcmConfig config_;
@@ -81,6 +103,7 @@ class PcmDevice {
   std::vector<std::uint32_t> line_wear_;
   sim::Resource bus_;
   std::uint64_t epoch_ = 0;
+  sim::ObjectPool<AccessOp> ops_;
   Counters counters_;
 };
 

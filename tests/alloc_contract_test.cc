@@ -10,6 +10,14 @@
 // adds nothing per IO: its tag-indexed states keep their token buffers,
 // so a read's result is copied up without allocating.
 //
+// The post-block DB path holds the same line from the top: a
+// db::StorageManager in vision wiring over an append-mode device (B+-tree,
+// buffer pool, WAL into the PCM log, host map, direct driver, append
+// FTL) keeps its per-op state in owner pools too, and every continuation
+// inline. What it still allocates per op is the device path's result
+// token vector, the page images a checkpoint registers and the tagged
+// write commands that carry them.
+//
 // This binary replaces the global operator new (as bench_sim_core does),
 // so every allocation anywhere in the process is counted.
 
@@ -24,6 +32,7 @@
 
 #include "blocklayer/block_layer.h"
 #include "common/rng.h"
+#include "db/storage_manager.h"
 #include "sim/inplace_callback.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
@@ -229,6 +238,142 @@ TEST(AllocContractTest, BlockLayerOverAgedDeviceAddsNoAllocationPerIo) {
   // The dispatch-accounting wrapper is boxed into a recycled slab chunk
   // (a reuse, not an allocation); no new chunk may be minted.
   EXPECT_EQ(slab1.chunk_allocs, slab0.chunk_allocs);
+}
+
+/// Runs StorageManager ops one at a time, each to completion, checking
+/// every Get against a shadow of the last value written.
+class DbDriver {
+ public:
+  DbDriver(sim::Simulator* sim, db::StorageManager* m, std::uint64_t keys)
+      : sim_(sim), m_(m), shadow_(keys, 0) {}
+
+  void Bootstrap() {
+    m_->Bootstrap(status_cb());
+    Wait();
+  }
+
+  /// Puts every key, `batch` keys per transaction, checkpointing every
+  /// `checkpoint_every` transactions (the no-steal pool must not fill
+  /// with dirty pages).
+  void BulkLoad(std::uint64_t batch, std::uint64_t checkpoint_every) {
+    std::uint64_t txns = 0;
+    for (std::uint64_t base = 0; base < shadow_.size(); base += batch) {
+      std::vector<db::WalOp> ops;
+      for (std::uint64_t k = base; k < base + batch && k < shadow_.size();
+           ++k) {
+        shadow_[k] = rng_.Next() | 1;
+        ops.push_back({db::WalOp::Kind::kPut, k, shadow_[k]});
+      }
+      m_->CommitBatch(std::move(ops), status_cb());
+      Wait();
+      if (++txns % checkpoint_every == 0) Checkpoint();
+    }
+    Checkpoint();
+  }
+
+  /// `ops` single-op transactions: 50% Get, 40% Put, 10% Delete, with a
+  /// checkpoint every `checkpoint_every` ops.
+  void Mix(std::uint64_t ops, std::uint64_t checkpoint_every) {
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      const std::uint64_t key = rng_.Uniform(shadow_.size());
+      const std::uint64_t dice = rng_.Uniform(100);
+      if (dice < 50) {
+        m_->Get(key, [this](StatusOr<std::uint64_t> r) {
+          got_ = r.ok() ? *r : 0;
+          get_ok_ = r.ok() || r.status().IsNotFound();
+          done_ = true;
+        });
+        Wait();
+        if (!get_ok_ || got_ != shadow_[key]) ++wrong_;
+      } else if (dice < 90) {
+        const std::uint64_t value = rng_.Next() | 1;
+        m_->Put(key, value, status_cb());
+        Wait();
+        shadow_[key] = value;
+      } else {
+        m_->Delete(key, status_cb());
+        Wait();
+        shadow_[key] = 0;
+      }
+      if (i % checkpoint_every == checkpoint_every - 1) Checkpoint();
+    }
+  }
+
+  std::uint64_t failures() const { return failures_; }
+  std::uint64_t wrong() const { return wrong_; }
+
+ private:
+  db::StorageManager::StatusCb status_cb() {
+    return [this](Status st) {
+      if (!st.ok()) ++failures_;
+      done_ = true;
+    };
+  }
+  void Checkpoint() {
+    m_->Checkpoint(status_cb());
+    Wait();
+  }
+  void Wait() {
+    if (!sim_->RunUntilPredicate([this] { return done_; })) ++failures_;
+    done_ = false;
+  }
+
+  sim::Simulator* sim_;
+  db::StorageManager* m_;
+  Rng rng_{7};
+  std::vector<std::uint64_t> shadow_;  // 0 = absent
+  bool done_ = false;
+  bool get_ok_ = false;
+  std::uint64_t got_ = 0;
+  std::uint64_t failures_ = 0;
+  std::uint64_t wrong_ = 0;
+};
+
+TEST(AllocContractTest, VisionStorageManagerOverAppendDevice) {
+  // A tree larger than the 256-frame pool, so Gets miss and checkpoints
+  // write back pages scattered over the whole tree.
+  constexpr std::uint64_t kKeys = 60'000;
+  constexpr std::uint64_t kOps = 10'000;
+  constexpr std::uint64_t kCheckpointEvery = 100;
+  sim::Simulator sim;
+  Config config = Config::Small();
+  config.ftl = FtlKind::kVisionAppend;
+  Device dev(&sim, config);
+  db::StorageConfig sc;
+  sc.wiring = db::Wiring::kVision;
+  sc.buffer_frames = 256;
+  db::StorageManager m(&sim, &dev, sc);
+  ASSERT_NE(m.host_map(), nullptr);
+  DbDriver driver(&sim, &m, kKeys);
+  driver.Bootstrap();
+  driver.BulkLoad(100, 20);
+  driver.Mix(kOps, kCheckpointEvery);  // warm every pool and free list
+
+  const Counters& bp = m.buffer_pool()->counters();
+  const std::uint64_t misses0 = bp.Get("misses");
+  const std::uint64_t writebacks0 = bp.Get("writebacks");
+  const sim::CallbackSlab::Stats slab0 = sim::CallbackSlab::stats();
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  driver.Mix(kOps, kCheckpointEvery);
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs0;
+  const sim::CallbackSlab::Stats slab1 = sim::CallbackSlab::stats();
+
+  EXPECT_EQ(driver.failures(), 0u);
+  EXPECT_EQ(driver.wrong(), 0u);
+  ASSERT_GT(bp.Get("misses") - misses0, kOps / 4) << "the tree fits the pool";
+  ASSERT_GT(bp.Get("writebacks") - writebacks0, kOps / 10)
+      << "checkpoints wrote nothing back";
+  // 2.49 per op (from 27 when every DB continuation was a std::function
+  // and every page miss grew the frame and LRU maps): a miss's result
+  // token vector, and per written-back page its image, its tagged write
+  // command's token vector and the name the write returns.
+  EXPECT_LE(allocs, kOps * 5 / 2)
+      << static_cast<double>(allocs) / kOps << " allocations per op";
+  EXPECT_EQ(slab1.oversize_allocs, slab0.oversize_allocs);
+  EXPECT_EQ(slab1.chunk_allocs, slab0.chunk_allocs);
+  EXPECT_EQ(slab1.chunk_reuses, slab0.chunk_reuses)
+      << "a DB-path continuation spilled out of its inline buffer";
 }
 
 }  // namespace

@@ -236,6 +236,72 @@ TEST_F(VisionRecoveryTest, ShadowMapCrashTorture) {
   EXPECT_GT(device_->counters().Get("nameless_frees"), 0u);
 }
 
+TEST_F(VisionRecoveryTest, CrashWithPooledOpsInFlight) {
+  // Power cuts with pooled per-op records in flight at every layer: a
+  // Get waiting on a page miss, a Put partway down the tree, and a
+  // nameless checkpoint between its page writes and its commit point.
+  // Each cut reclaims the pools (the power-cycled layers drop their
+  // records with the completions that would have used them); no
+  // callback of a pre-crash op ever runs, and the recovered stack keeps
+  // working on recycled records.
+  std::map<std::uint64_t, std::uint64_t> shadow;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    ASSERT_TRUE(Put(k, k + 1).ok());
+    shadow[k] = k + 1;
+  }
+  ASSERT_TRUE(Checkpoint().ok());
+  int stale_callbacks = 0;
+  BufferPool* pool = manager_->buffer_pool();
+  auto crash_and_recover = [&](const char* where) {
+    ASSERT_TRUE(manager_->SimulateCrash().ok()) << where;
+    Status st = Sync([&](StorageManager::StatusCb cb) {
+      manager_->Recover(std::move(cb));
+    });
+    ASSERT_TRUE(st.ok()) << where << ": " << st;
+    VerifyShadow(shadow, where);
+    // Continue on the recycled records.
+    for (std::uint64_t k = 300; k < 320; ++k) {
+      ASSERT_TRUE(Put(k, k * 3).ok()) << where;
+      shadow[k] = k * 3;
+    }
+    ASSERT_TRUE(Checkpoint().ok()) << where;
+    VerifyShadow(shadow, where);
+  };
+
+  // 1. A Get whose leaf read is at the device.
+  pool->InvalidateClean();
+  const std::uint64_t misses0 = pool->counters().Get("misses");
+  manager_->Get(42, [&](StatusOr<std::uint64_t>) { ++stale_callbacks; });
+  ASSERT_GT(pool->counters().Get("misses"), misses0);
+  sim_->RunUntil(sim_->Now() + 1000);
+  crash_and_recover("get miss");
+
+  // 2. A Put whose WAL record is durable and whose descent waits on a
+  // page miss: never acknowledged, but replayed from the log.
+  pool->InvalidateClean();
+  const std::uint64_t misses1 = pool->counters().Get("misses");
+  manager_->Put(7, 777, [&](Status) { ++stale_callbacks; });
+  ASSERT_TRUE(sim_->RunUntilPredicate(
+      [&] { return pool->counters().Get("misses") > misses1; }));
+  shadow[7] = 777;
+  crash_and_recover("put descent");
+
+  // 3. A nameless checkpoint with some page writes landed (their old
+  // copies retired) and the meta page not yet written.
+  for (std::uint64_t k = 0; k < 300; k += 3) {
+    ASSERT_TRUE(Put(k, k + 5).ok());
+    shadow[k] = k + 5;
+  }
+  manager_->Checkpoint([&](Status) { ++stale_callbacks; });
+  ASSERT_TRUE(sim_->RunUntilPredicate(
+      [&] { return manager_->host_map()->retired() >= 1; }));
+  crash_and_recover("nameless checkpoint");
+
+  sim_->Run();
+  EXPECT_EQ(stale_callbacks, 0) << "a pre-crash continuation ran";
+  EXPECT_EQ(manager_->host_map()->counters().Get("stale_migrations"), 0u);
+}
+
 // --- Device-level name discipline -------------------------------------------
 
 TEST(AppendDeviceTest, StaleNamesAreNotFoundNeverAliased) {
