@@ -12,7 +12,6 @@ BufferPool::BufferPool(sim::Simulator* sim,
     : sim_(sim),
       device_(device),
       images_(images),
-      capacity_(frames),
       allow_steal_(allow_steal),
       slots_(frames),
       slot_of_(device->num_blocks(), kNil) {

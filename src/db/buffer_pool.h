@@ -140,7 +140,6 @@ class BufferPool {
   sim::Simulator* sim_;
   blocklayer::BlockDevice* device_;
   PageImageStore* images_;
-  std::size_t capacity_;
   bool allow_steal_;
   /// Bumped by PowerCycle: continuations of an older epoch are dropped.
   std::uint64_t epoch_ = 0;
